@@ -47,6 +47,12 @@ def cmd_simulate(args) -> int:
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
+    output = cfg.get("output", {})
+    decimate = args.decimate if args.decimate is not None \
+        else output.get("decimate", 1)
+    if decimate < 1:
+        _err(f"decimate must be at least 1, got {decimate}")
+        return EXIT_CONFIG
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -66,8 +72,6 @@ def cmd_simulate(args) -> int:
         _err(f"simulation failed: {exc}")
         return EXIT_SIM
 
-    output = cfg.get("output", {})
-    decimate = args.decimate or output.get("decimate", 1)
     trace.to_csv(out_dir / "trace.csv", decimate=decimate)
     summary = summarize(trace)
     summary["wall_time_s"] = time.perf_counter() - t0

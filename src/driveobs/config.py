@@ -12,7 +12,6 @@ from importlib import resources
 
 import numpy as np
 
-from .machines import make_machine
 from .params import MACHINE_KINDS, params_from_dict
 from .profiles import Segment, SignalProfile
 from .scenarios import ImScenario, WrsmScenario
@@ -170,12 +169,6 @@ def _validate_sweep(cfg, block):
                 or not math.isfinite(spec["max"]) \
                 or (spec["n"] > 1 and spec["max"] <= spec["min"]):
             raise ConfigError(f"sweep.{axis} grid is degenerate")
-
-
-def machine_from_config(cfg: dict):
-    kind = cfg["machine"]["kind"]
-    params = params_from_dict(kind, cfg["machine"].get("params", {}))
-    return make_machine(kind, params)
 
 
 def scenario_from_config(cfg: dict):

@@ -293,12 +293,6 @@ class SynchronousMachine:
         A = fd_state_jacobian(lambda X: self.f(X, u), x)
         return A, self.output_matrix()
 
-    def stator_flux_dq(self, i_sd, i_sq, i_f=0.0):
-        """Stator flux linkage components in the rotor frame."""
-        p = self.params
-        rotor_flux = self.psi_r + (p.M_f * i_f if self.has_field else 0.0)
-        return p.L_d * i_sd + rotor_flux, p.L_q * i_sq
-
 
 class InductionMachine:
     """

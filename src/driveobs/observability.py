@@ -233,9 +233,11 @@ def im_condition(params: ImParams, omega_e: float, domega_e: float,
 
 def slip_frequency(params: ImParams, T_m: float, psi_rd: float) -> float:
     """Rotor-current angular frequency for a given torque and direct flux."""
-    if psi_rd <= 0.0:
-        raise DegenerateFluxError("psi_rd must be positive")
-    return (params.R_r / params.p) * T_m / psi_rd**2
+    psi_sq = psi_rd**2
+    if psi_rd <= 0.0 or psi_sq == 0.0:
+        raise DegenerateFluxError("psi_rd must be positive, with a square "
+                                  "that does not underflow")
+    return (params.R_r / params.p) * T_m / psi_sq
 
 
 def unobservability_line(params: ImParams, omega_e: float, T_m: float,

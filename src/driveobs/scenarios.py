@@ -29,12 +29,26 @@ from .trace import SimTrace, rolling_abs_max
 TWO_PI = 2.0 * math.pi
 
 
-def _check_grid(dt_sim: float, trace_dt: float):
-    if trace_dt < dt_sim:
+def _grid(sc) -> Tuple[int, int, int]:
+    """Integration steps, steps per trace row and trace rows of a scenario;
+    checked at construction and again when the scenario runs."""
+    dt = sc.dt_sim
+    if dt <= 0 or sc.t_end <= 0:
+        raise ValueError("dt_sim and t_end must be positive")
+    if sc.trace_dt < dt:
         raise ValueError("integration step must not exceed the filter Ts")
-    n_sub = round(trace_dt / dt_sim)
-    if abs(n_sub * dt_sim - trace_dt) > 1e-12:
+    n_sub = round(sc.trace_dt / dt)
+    if abs(n_sub * dt - sc.trace_dt) > 1e-12:
         raise ValueError("trace_dt must be an integer multiple of dt_sim")
+    n_steps = round(sc.t_end / dt)
+    return n_steps, n_sub, n_steps // n_sub + 1
+
+
+def _check_scenario(sc, profiles: dict):
+    _grid(sc)
+    for name, prof in profiles.items():
+        if prof.start > 0.0 or prof.end < sc.t_end - 1e-9:
+            raise ValueError(f"{name} must cover [0, t_end]")
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +89,8 @@ class WrsmScenario:
         if self.i_f_profile is None:
             self.i_f_profile = default_field_setpoint_profile(
                 self.t_end, windows=self.injection_windows)
-        if self.dt_sim <= 0 or self.t_end <= 0:
-            raise ValueError("dt_sim and t_end must be positive")
-        _check_grid(self.dt_sim, self.trace_dt)
-        for name, prof in (("speed_profile", self.speed_profile),
-                           ("i_f_profile", self.i_f_profile)):
-            if prof.start > 0.0 or prof.end < self.t_end - 1e-9:
-                raise ValueError(f"{name} must cover [0, t_end]")
+        _check_scenario(self, {"speed_profile": self.speed_profile,
+                               "i_f_profile": self.i_f_profile})
 
 
 def default_wrsm_speed_profile(t_end: float = 6.0) -> SignalProfile:
@@ -146,13 +155,8 @@ class ImScenario:
                 self.t_end, self.omega_rated, self.dwell)
         if self.load_profile is None:
             self.load_profile = default_im_load_profile(self.t_end)
-        if self.dt_sim <= 0 or self.t_end <= 0:
-            raise ValueError("dt_sim and t_end must be positive")
-        _check_grid(self.dt_sim, self.trace_dt)
-        for name, prof in (("freq_profile", self.freq_profile),
-                           ("load_profile", self.load_profile)):
-            if prof.start > 0.0 or prof.end < self.t_end - 1e-9:
-                raise ValueError(f"{name} must cover [0, t_end]")
+        _check_scenario(self, {"freq_profile": self.freq_profile,
+                               "load_profile": self.load_profile})
 
     def voltage_amplitude(self, omega_s_cmd: float) -> float:
         frac = min(abs(omega_s_cmd) / self.omega_rated, 1.0)
@@ -270,24 +274,19 @@ def im_rates_unscaled(p: ImParams):
     return rates
 
 
-def run_im_truth(sc: ImScenario, scaled: bool = True) -> SimTrace:
+def _integrate_im(sc: ImScenario, scaled: bool):
     """
-    Integrate only the IM ground truth (no filters, no channels).
+    IM plant stage: RK4 on the dt_sim grid, sampled on the trace grid.
 
-    With ``scaled=False`` the physical-coordinate model is integrated from
-    the equivalent initial state; the returned columns are always physical
-    (currents in A, fluxes in Wb), so the two runs are directly comparable.
+    Returns ``(t, X, V, omega_s)``: the trace-row times, the state
+    ``(i_a, i_b, psi_a, psi_b, omega_e, T_r)`` in the integrated model's own
+    coordinates, the applied voltages and the stator-flux-frequency estimate
+    from the rotor flux angle, low-pass filtered every dt_sim.
     """
-    p = sc.params
     dt = sc.dt_sim
-    n_steps = int(round(sc.t_end / dt))
-    n_sub = int(round(sc.trace_dt / dt))
-    n_trace = n_steps // n_sub + 1
+    n_steps, n_sub, n_trace = _grid(sc)
     freq, load = sc.freq_profile, sc.load_profile
-    rates = im_rates(p) if scaled else im_rates_unscaled(p)
-    kr, L_sig = p.k_r, p.L_sigma
-    s_i = L_sig if scaled else 1.0
-    s_p = kr if scaled else 1.0
+    rates = im_rates(sc.params) if scaled else im_rates_unscaled(sc.params)
 
     def voltage(t):
         w_cmd = freq.value(t)
@@ -295,24 +294,36 @@ def run_im_truth(sc: ImScenario, scaled: bool = True) -> SimTrace:
         amp = sc.voltage_amplitude(w_cmd)
         return amp * math.cos(phase), amp * math.sin(phase)
 
+    times = np.zeros(n_trace)
+    X = np.zeros((n_trace, 6))
+    V = np.zeros((n_trace, 2))
+    omega_s = np.zeros(n_trace)
+    ang_prev = None
+    omega_s_filt = 0.0
+    alpha = dt / (sc.omega_s_filter_tau + dt)
     ia = ib = pa = pb = we = 0.0
-    cols = {name: np.zeros(n_trace) for name in
-            ("t", "i_sa", "i_sb", "psi_ra", "psi_rb", "omega_e", "T_r")}
     for s in range(n_steps + 1):
         t = s * dt
         Tr = load.value(t)
+        va, vb = voltage(t)
+
+        if ang_prev is not None or (pa, pb) != (0.0, 0.0):
+            ang = math.atan2(pb, pa)
+            if ang_prev is not None:
+                delta = ang - ang_prev
+                delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
+                omega_s_filt += alpha * (delta / dt - omega_s_filt)
+            ang_prev = ang
+
         if s % n_sub == 0:
             k = s // n_sub
-            cols["t"][k] = t
-            cols["i_sa"][k] = ia / s_i
-            cols["i_sb"][k] = ib / s_i
-            cols["psi_ra"][k] = pa / s_p
-            cols["psi_rb"][k] = pb / s_p
-            cols["omega_e"][k] = we
-            cols["T_r"][k] = Tr
+            times[k] = t
+            X[k] = ia, ib, pa, pb, we, Tr
+            V[k] = va, vb
+            omega_s[k] = omega_s_filt
+
         if s < n_steps:
             h = dt
-            va, vb = voltage(t)
             vam, vbm = voltage(t + 0.5 * h)
             va2, vb2 = voltage(t + h)
             k1 = rates(ia, ib, pa, pb, we, Tr, va, vb)
@@ -329,13 +340,97 @@ def run_im_truth(sc: ImScenario, scaled: bool = True) -> SimTrace:
             pa += (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
             pb += (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
             we += (h / 6.0) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-    meta = {"machine": "im", "scaled": scaled, "dt_sim": dt,
+    return times, X, V, omega_s
+
+
+def run_im_truth(sc: ImScenario, scaled: bool = True) -> SimTrace:
+    """
+    Integrate only the IM ground truth (no filters, no channels).
+
+    With ``scaled=False`` the physical-coordinate model is integrated from
+    the equivalent initial state; the returned columns are always physical
+    (currents in A, fluxes in Wb), so the two runs are directly comparable.
+    Besides the state, the trace holds the flux-angle frequency estimate
+    ``omega_s`` and the applied voltages ``v_sa``, ``v_sb``.
+    """
+    p = sc.params
+    s_i, s_p = (p.L_sigma, p.k_r) if scaled else (1.0, 1.0)
+    t, X, V, omega_s = _integrate_im(sc, scaled)
+    cols = {"t": t, "i_sa": X[:, 0] / s_i, "i_sb": X[:, 1] / s_i,
+            "psi_ra": X[:, 2] / s_p, "psi_rb": X[:, 3] / s_p,
+            "omega_e": X[:, 4], "T_r": X[:, 5], "omega_s": omega_s,
+            "v_sa": V[:, 0], "v_sb": V[:, 1]}
+    meta = {"machine": "im", "scaled": scaled, "dt_sim": sc.dt_sim,
             "trace_dt": sc.trace_dt, "t_end": sc.t_end}
     return SimTrace(columns=cols, meta=meta)
 
 
 # ---------------------------------------------------------------------------
+# stages shared by both scenarios
+
+
+def _noisy(Y: np.ndarray, std: float, seed) -> np.ndarray:
+    """Measurements plus seeded Gaussian noise, drawn row by row."""
+    if std > 0:
+        return Y + np.random.default_rng(seed).normal(0.0, std, Y.shape)
+    return Y
+
+
+def _run_filter(inst, U: np.ndarray, Y: np.ndarray):
+    """
+    Run one filter over a finished trace: row ``k`` predicts with the input
+    of row ``k - 1`` and corrects with the measurement of row ``k``.
+
+    Returns the estimate and the innovation of each row (row 0: the initial
+    estimate, NaN innovations) and the covariance health ``(steps,
+    max |P - P^T|, min eigenvalue ratio checked every 100 of its steps)``.
+    """
+    n = len(Y)
+    est = np.empty((n, inst.x.size))
+    innov = np.full(Y.shape, math.nan)
+    est[0] = inst.x
+    asym, eig_ratio = 0.0, math.inf
+    for k in range(1, n):
+        inst = ekf_predict(inst, U[k - 1])
+        inst, innov[k] = ekf_update(inst, Y[k])
+        est[k] = inst.x
+        asym = max(asym, np.abs(inst.P - inst.P.T).max())
+        if k % 100 == 0:
+            eig = np.linalg.eigvalsh(inst.P)
+            eig_ratio = min(eig_ratio, eig[0] / max(eig[-1], 1e-300))
+    return est, innov, (n - 1, asym, eig_ratio)
+
+
+def _scenario_trace(sc, cols: dict, channel: str, health, started: float,
+                    **meta) -> SimTrace:
+    """
+    Finish a scenario trace: the windowed ``obs_violated`` flag is set where
+    the recent |``channel``| never reached the threshold; ``meta`` gains the
+    grid, the flag settings and the covariance health of all filters.
+    """
+    width = max(int(round(sc.flag_window / sc.trace_dt)), 1)
+    channel_max = rolling_abs_max(cols[channel], width)
+    cols["obs_violated"] = (channel_max < sc.obs_threshold).astype(float)
+    steps = sum(h[0] for h in health)
+    meta.update({
+        "dt_sim": sc.dt_sim, "trace_dt": sc.trace_dt, "t_end": sc.t_end,
+        "obs_threshold": sc.obs_threshold, "flag_window": sc.flag_window,
+        "ekf_steps": steps,
+        "ekf_p_max_asym": max((h[1] for h in health), default=0.0),
+        "ekf_p_min_eig_ratio": min(h[2] for h in health) if steps
+        else math.nan,
+        "wall_time_s": time.perf_counter() - started})
+    return SimTrace(columns=cols, meta=meta)
+
+
+# ---------------------------------------------------------------------------
 # WRSM scenario
+
+# trace columns recorded by the closed loop; it records ``theta`` unwrapped
+_WRSM_PLANT = ("t", "omega", "theta", "i_sa", "i_sb", "i_f", "i_sd", "i_sq",
+               "v_sa", "v_sb", "v_f", "i_d_ref", "i_q_ref", "i_f_ref",
+               "pi_saturated", "psi_od", "psi_oq", "theta_o", "omega_o",
+               "margin")
 
 
 def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
@@ -344,11 +439,7 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     p = sc.params
     machine = SynchronousMachine(p)
     dt = sc.dt_sim
-    n_steps = int(round(sc.t_end / dt))
-    n_sub = int(round(sc.trace_dt / dt))
-    if abs(n_sub * dt - sc.trace_dt) > 1e-12:
-        raise ValueError("trace_dt must be an integer multiple of dt_sim")
-    n_trace = n_steps // n_sub + 1
+    n_steps, n_sub, n_trace = _grid(sc)
 
     speed = sc.speed_profile
     i_f_ref_profile = sc.i_f_profile
@@ -376,28 +467,14 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
                         P0=np.diag(sc.ekf_p0_diag), x0=x0_est, Ts=sc.trace_dt)
         ekf = make_ekf(machine, cfg)
 
-    rng = np.random.default_rng(sc.seed) if sc.noise_std > 0 else None
-
-    cols = {name: np.zeros(n_trace) for name in (
-        "t", "omega", "theta", "i_sa", "i_sb", "i_f", "i_sd", "i_sq",
-        "v_sa", "v_sb", "v_f", "i_d_ref", "i_q_ref", "i_f_ref", "pi_saturated",
-        "psi_od", "psi_oq", "theta_o", "omega_o", "margin", "det_sm", "ratio",
-        "ekf_theta", "ekf_omega", "ekf_i_sa", "ekf_i_sb", "ekf_i_f",
-        "theta_err", "omega_err", "innov_a", "innov_b", "innov_f")}
-
     # filtered vector-angle velocity state
     theta_o_prev = None
-    theta_o_unwrapped = 0.0
     omega_o_filt = 0.0
     alpha = dt / (sc.omega_o_filter_tau + dt)
 
-    u_prev_trace = None
-    p_asym_max = 0.0
-    p_eig_ratio_min = math.inf
-    ekf_steps = 0
-
     sD_LD = p.sigma_delta * p.L_delta
     LD, Mf = p.L_delta, p.M_f
+    rows = np.zeros((n_trace, len(_WRSM_PLANT)))
 
     for s in range(n_steps + 1):
         t = s * dt
@@ -421,63 +498,20 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
         # observability-vector angle tracking at the integration rate
         psi_od = LD * i_d + Mf * i_f
         psi_oq = sD_LD * i_q
+        th_o = math.nan
         if psi_od != 0.0 or psi_oq != 0.0:
             th_o = math.atan2(psi_oq, psi_od)
             if theta_o_prev is not None:
                 delta = th_o - theta_o_prev
                 delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
-                theta_o_unwrapped += delta
                 omega_o_filt += alpha * (delta / dt - omega_o_filt)
             theta_o_prev = th_o
 
         if s % n_sub == 0:
-            k = s // n_sub
-            y = np.array([ia, ib, i_f])
-            if rng is not None:
-                y = y + rng.normal(0.0, sc.noise_std, 3)
-            innov = np.full(3, math.nan)
-            if ekf is not None:
-                if s > 0:
-                    ekf = ekf_predict(ekf, u_prev_trace)
-                    ekf, innov = ekf_update(ekf, y)
-                    ekf_steps += 1
-                    asym = np.abs(ekf.P - ekf.P.T).max()
-                    p_asym_max = max(p_asym_max, asym)
-                    if ekf_steps % 100 == 0:
-                        eig = np.linalg.eigvalsh(ekf.P)
-                        p_eig_ratio_min = min(p_eig_ratio_min,
-                                              eig[0] / max(eig[-1], 1e-300))
-            # operating-point derivatives for the closed forms
-            dia, dib, dif = rates(ia, ib, i_f, w, th, va, vb, v_f)
-            did = (c1 * dia + s1 * dib) + w * i_q
-            diq = (-s1 * dia + c1 * dib) - w * i_d
-            det = sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif)
-            ratio = sm_condition_ratio(p, i_d, i_q, i_f)
-
-            row = {
-                "t": t, "omega": w, "theta": float(wrap_angle(th)),
-                "i_sa": ia, "i_sb": ib, "i_f": i_f, "i_sd": i_d, "i_sq": i_q,
-                "v_sa": va, "v_sb": vb, "v_f": v_f,
-                "i_d_ref": sc.i_d_ref, "i_q_ref": sc.i_q_ref,
-                "i_f_ref": i_f_ref, "pi_saturated": float(saturated),
-                "psi_od": psi_od, "psi_oq": psi_oq,
-                "theta_o": math.atan2(psi_oq, psi_od)
-                    if (psi_od, psi_oq) != (0.0, 0.0) else math.nan,
-                "omega_o": omega_o_filt,
-                "margin": w - omega_o_filt,
-                "det_sm": det, "ratio": ratio,
-                "ekf_theta": float(wrap_angle(ekf.x[4])) if ekf else math.nan,
-                "ekf_omega": ekf.x[3] if ekf else math.nan,
-                "ekf_i_sa": ekf.x[0] if ekf else math.nan,
-                "ekf_i_sb": ekf.x[1] if ekf else math.nan,
-                "ekf_i_f": ekf.x[2] if ekf else math.nan,
-                "theta_err": float(wrap_angle(ekf.x[4] - th)) if ekf else math.nan,
-                "omega_err": (ekf.x[3] - w) if ekf else math.nan,
-                "innov_a": innov[0], "innov_b": innov[1], "innov_f": innov[2],
-            }
-            for name, val in row.items():
-                cols[name][k] = val
-            u_prev_trace = np.array([va, vb, v_f])
+            rows[s // n_sub] = (t, w, th, ia, ib, i_f, i_d, i_q, va, vb, v_f,
+                                sc.i_d_ref, sc.i_q_ref, i_f_ref,
+                                float(saturated), psi_od, psi_oq, th_o,
+                                omega_o_filt, w - omega_o_filt)
 
         if s < n_steps:
             # RK4 on the currents; speed and position follow the profile
@@ -497,28 +531,46 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
             ib += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
             i_f += (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
 
-    # windowed flag: violated where the recent |margin| never reached threshold
-    width = max(int(round(sc.flag_window / sc.trace_dt)), 1)
-    margin_max = rolling_abs_max(cols["margin"], width)
-    violated = margin_max < sc.obs_threshold
-    cols["obs_violated"] = violated.astype(float)
+    cols = dict(zip(_WRSM_PLANT, rows.T))
+    theta = cols["theta"]
+    cols["theta"] = wrap_angle(theta)
 
-    meta = {
-        "machine": "wrsm",
-        "dt_sim": dt,
-        "trace_dt": sc.trace_dt,
-        "t_end": sc.t_end,
-        "injection_windows": [list(wdw) for wdw in sc.injection_windows],
-        "obs_threshold": sc.obs_threshold,
-        "flag_window": sc.flag_window,
-        "theta0_error": sc.theta0_error,
-        "ekf_steps": ekf_steps,
-        "ekf_p_max_asym": p_asym_max,
-        "ekf_p_min_eig_ratio": p_eig_ratio_min if ekf_steps else math.nan,
-        "pi_saturated_samples": int(np.sum(cols["pi_saturated"] > 0)),
-        "wall_time_s": time.perf_counter() - started,
-    }
-    return SimTrace(columns=cols, meta=meta)
+    # closed-form channels at the operating point of each trace row
+    det_sm = np.zeros(n_trace)
+    ratio = np.zeros(n_trace)
+    for k in range(n_trace):
+        t, w, th, ia, ib, i_f, i_d, i_q, va, vb, v_f = rows[k, :11].tolist()
+        c1, s1 = math.cos(th), math.sin(th)
+        dia, dib, dif = rates(ia, ib, i_f, w, th, va, vb, v_f)
+        did = (c1 * dia + s1 * dib) + w * i_q
+        diq = (-s1 * dia + c1 * dib) - w * i_d
+        det_sm[k] = sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif)
+        ratio[k] = sm_condition_ratio(p, i_d, i_q, i_f)
+
+    est = np.full((n_trace, 5), math.nan)
+    innov = np.full((n_trace, 3), math.nan)
+    health = []
+    if ekf is not None:
+        Y = np.column_stack([cols["i_sa"], cols["i_sb"], cols["i_f"]])
+        U = np.column_stack([cols["v_sa"], cols["v_sb"], cols["v_f"]])
+        est, innov, filter_health = _run_filter(
+            ekf, U, _noisy(Y, sc.noise_std, sc.seed))
+        health.append(filter_health)
+
+    cols.update({
+        "det_sm": det_sm, "ratio": ratio,
+        "ekf_theta": wrap_angle(est[:, 4]), "ekf_omega": est[:, 3],
+        "ekf_i_sa": est[:, 0], "ekf_i_sb": est[:, 1], "ekf_i_f": est[:, 2],
+        "theta_err": wrap_angle(est[:, 4] - theta),
+        "omega_err": est[:, 3] - cols["omega"],
+        "innov_a": innov[:, 0], "innov_b": innov[:, 1], "innov_f": innov[:, 2],
+    })
+
+    return _scenario_trace(
+        sc, cols, "margin", health, started, machine="wrsm",
+        injection_windows=[list(wdw) for wdw in sc.injection_windows],
+        theta0_error=sc.theta0_error,
+        pi_saturated_samples=int(np.sum(cols["pi_saturated"] > 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +587,10 @@ def _im_ekf_config(sc: ImScenario, machine: InductionMachine,
     """
     S = machine.scale_vector
     Q = np.diag(np.asarray(sc.ekf_q_diag_phys) * sc.trace_dt * S**2)
+    r = [sc.ekf_r_current_phys * S[0]**2, sc.ekf_r_current_phys * S[1]**2]
     if speed_measured:
-        R = np.diag([sc.ekf_r_current_phys * S[0]**2,
-                     sc.ekf_r_current_phys * S[1]**2, sc.ekf_r_speed])
-    else:
-        R = np.diag([sc.ekf_r_current_phys * S[0]**2,
-                     sc.ekf_r_current_phys * S[1]**2])
+        r.append(sc.ekf_r_speed)
+    R = np.diag(r)
     P0 = np.diag(sc.ekf_p0_phys * S**2)
     x0 = np.asarray(sc.x0_est_phys, float) * S
     return EkfConfig(Q=Q, R=R, P0=P0, x0=x0, Ts=sc.trace_dt)
@@ -551,175 +601,71 @@ def run_im_scenario(sc: ImScenario) -> SimTrace:
     started = time.perf_counter()
     p = sc.params
     machine = InductionMachine(p)
-    dt = sc.dt_sim
-    n_steps = int(round(sc.t_end / dt))
-    n_sub = int(round(sc.trace_dt / dt))
-    if abs(n_sub * dt - sc.trace_dt) > 1e-12:
-        raise ValueError("trace_dt must be an integer multiple of dt_sim")
-    n_trace = n_steps // n_sub + 1
-
-    freq = sc.freq_profile
-    load = sc.load_profile
-    rates = im_rates(p)
     kr = p.k_r
     L_sig = p.L_sigma
     torque_gain = p.p / L_sig   # T_m from scaled cross product
-
-    def voltage(t: float):
-        w_cmd = freq.value(t)
-        phase = freq.integral(t)
-        amp = sc.voltage_amplitude(w_cmd)
-        return amp * math.cos(phase), amp * math.sin(phase)
-
-    ia = ib = pa = pb = we = 0.0
-    Tr = load.value(0.0)
+    rates = im_rates(p)
 
     filters = {}
     if sc.run_ekf:
-        filters["spd"] = make_ekf(machine, _im_ekf_config(sc, machine, True),
-                                  speed_measured=True)
-        filters["sl"] = make_ekf(machine, _im_ekf_config(sc, machine, False),
-                                 speed_measured=False)
+        for tag, speed_measured in (("spd", True), ("sl", False)):
+            filters[tag] = make_ekf(
+                machine, _im_ekf_config(sc, machine, speed_measured),
+                speed_measured=speed_measured)
 
-    rng = np.random.default_rng(sc.seed) if sc.noise_std > 0 else None
+    t, X, V, omega_s = _integrate_im(sc, scaled=True)
+    n = len(t)
 
-    base_cols = ["t", "omega_s_cmd", "v_sa", "v_sb", "T_load",
-                 "i_sa", "i_sb", "psi_ra", "psi_rb", "omega_e", "T_r",
-                 "T_m", "psi_rd", "omega_s", "im_cond",
-                 "det_with_speed", "det_sensorless", "line_distance"]
-    est_cols = []
-    for tag in ("spd", "sl"):
-        est_cols += [f"{tag}_i_sa", f"{tag}_i_sb", f"{tag}_psi_ra",
-                     f"{tag}_psi_rb", f"{tag}_omega_e", f"{tag}_T_r",
-                     f"{tag}_flux_err", f"{tag}_innov_a", f"{tag}_innov_b"]
-    est_cols.append("spd_innov_w")
-    cols = {name: np.zeros(n_trace) for name in base_cols + est_cols}
+    # closed-form channels at the operating point of each trace row
+    chan = np.zeros((n, 7))
+    for k in range(n):
+        x_true = X[k]
+        ia, ib, pa, pb, we, Tr = x_true.tolist()
+        xdot = np.array(rates(ia, ib, pa, pb, we, Tr, *V[k].tolist()) + (0.0,))
+        T_m = torque_gain * (ib * pa - ia * pb)
+        psi_rd = math.hypot(pa, pb) / kr
+        line_dist = we + slip_frequency(p, T_m, psi_rd) if psi_rd > 1e-9 \
+            else math.nan
+        chan[k] = (sc.freq_profile.value(t[k].item()), T_m, psi_rd,
+                   im_condition(p, we, xdot[4], omega_s[k].item()),
+                   im_determinant(p, "with_speed", x_true, xdot),
+                   im_determinant(p, "sensorless", x_true, xdot), line_dist)
 
-    # stator-flux-frequency estimate from the rotor flux angle
-    ang_prev = None
-    omega_s_filt = 0.0
-    alpha = dt / (sc.omega_s_filter_tau + dt)
+    y_i = _noisy(X[:, :2], sc.noise_std * L_sig, sc.seed)
+    filtered, health = {}, []
+    for tag, speed_measured in (("spd", True), ("sl", False)):
+        est = np.full((n, 6), math.nan)
+        innov = np.full((n, 3 if speed_measured else 2), math.nan)
+        if tag in filters:
+            Y = np.column_stack([y_i, X[:, 4]]) if speed_measured else y_i
+            est, innov, filter_health = _run_filter(filters[tag], V, Y)
+            health.append(filter_health)
+        flux_err = np.empty(n)
+        for k, (ea, eb, pa, pb) in enumerate(
+                zip(est[:, 2], est[:, 3], X[:, 2], X[:, 3])):
+            flux_err[k] = math.hypot(ea - pa, eb - pb) / max(
+                math.hypot(pa, pb), 1e-12)
+        filtered[tag] = est, innov, flux_err
 
-    u_prev_trace = None
-    p_asym_max = 0.0
-    p_eig_ratio_min = math.inf
-    ekf_steps = 0
+    # physical units, in place so that each trace column is a view
+    for A in (X, filtered["spd"][0], filtered["sl"][0]):
+        A[:, :2] /= L_sig
+        A[:, 2:4] /= kr
+    cols = {"t": t, "omega_s_cmd": chan[:, 0], "v_sa": V[:, 0],
+            "v_sb": V[:, 1], "T_load": X[:, 5].copy(), "i_sa": X[:, 0],
+            "i_sb": X[:, 1], "psi_ra": X[:, 2], "psi_rb": X[:, 3],
+            "omega_e": X[:, 4], "T_r": X[:, 5], "T_m": chan[:, 1],
+            "psi_rd": chan[:, 2], "omega_s": omega_s, "im_cond": chan[:, 3],
+            "det_with_speed": chan[:, 4], "det_sensorless": chan[:, 5],
+            "line_distance": chan[:, 6]}
+    for tag, (est, innov, flux_err) in filtered.items():
+        cols.update({
+            f"{tag}_i_sa": est[:, 0], f"{tag}_i_sb": est[:, 1],
+            f"{tag}_psi_ra": est[:, 2], f"{tag}_psi_rb": est[:, 3],
+            f"{tag}_omega_e": est[:, 4], f"{tag}_T_r": est[:, 5],
+            f"{tag}_flux_err": flux_err,
+            f"{tag}_innov_a": innov[:, 0], f"{tag}_innov_b": innov[:, 1]})
+    cols["spd_innov_w"] = filtered["spd"][1][:, 2]
 
-    for s in range(n_steps + 1):
-        t = s * dt
-        Tr = load.value(t)
-        va, vb = voltage(t)
-
-        if ang_prev is not None or (pa, pb) != (0.0, 0.0):
-            ang = math.atan2(pb, pa)
-            if ang_prev is not None:
-                delta = ang - ang_prev
-                delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
-                omega_s_filt += alpha * (delta / dt - omega_s_filt)
-            ang_prev = ang
-
-        if s % n_sub == 0:
-            k = s // n_sub
-            y_currents = np.array([ia, ib])
-            if rng is not None:
-                y_currents = y_currents + rng.normal(
-                    0.0, sc.noise_std * L_sig, 2)
-            x_true = np.array([ia, ib, pa, pb, we, Tr])
-            xdot = np.array(rates(ia, ib, pa, pb, we, Tr, va, vb) + (0.0,))
-            T_m = torque_gain * (ib * pa - ia * pb)
-            psi_rd = math.hypot(pa, pb) / kr
-            det_spd = im_determinant(p, "with_speed", x_true, xdot)
-            det_sl = im_determinant(p, "sensorless", x_true, xdot)
-            cond = im_condition(p, we, xdot[4], omega_s_filt)
-            if psi_rd > 1e-9:
-                line_dist = we + slip_frequency(p, T_m, psi_rd)
-            else:
-                line_dist = math.nan
-
-            row = {
-                "t": t, "omega_s_cmd": freq.value(t), "v_sa": va, "v_sb": vb,
-                "T_load": Tr, "i_sa": ia / L_sig, "i_sb": ib / L_sig,
-                "psi_ra": pa / kr, "psi_rb": pb / kr, "omega_e": we, "T_r": Tr,
-                "T_m": T_m, "psi_rd": psi_rd, "omega_s": omega_s_filt,
-                "im_cond": cond, "det_with_speed": det_spd,
-                "det_sensorless": det_sl, "line_distance": line_dist,
-            }
-
-            flux_mag = max(math.hypot(pa, pb), 1e-12)
-            for tag, speed_measured in (("spd", True), ("sl", False)):
-                if tag not in filters:
-                    for name in est_cols:
-                        row.setdefault(name, math.nan)
-                    continue
-                inst = filters[tag]
-                if s > 0:
-                    inst = ekf_predict(inst, u_prev_trace)
-                    y = np.array([y_currents[0], y_currents[1], we]) \
-                        if speed_measured else y_currents
-                    inst, innov = ekf_update(inst, y)
-                    filters[tag] = inst
-                    ekf_steps += 1
-                    p_asym_max = max(p_asym_max,
-                                     np.abs(inst.P - inst.P.T).max())
-                    if ekf_steps % 100 == 0:
-                        eig = np.linalg.eigvalsh(inst.P)
-                        p_eig_ratio_min = min(p_eig_ratio_min,
-                                              eig[0] / max(eig[-1], 1e-300))
-                else:
-                    innov = np.full(3 if speed_measured else 2, math.nan)
-                xe = inst.x
-                flux_err = math.hypot(xe[2] - pa, xe[3] - pb) / flux_mag
-                row[f"{tag}_i_sa"] = xe[0] / L_sig
-                row[f"{tag}_i_sb"] = xe[1] / L_sig
-                row[f"{tag}_psi_ra"] = xe[2] / kr
-                row[f"{tag}_psi_rb"] = xe[3] / kr
-                row[f"{tag}_omega_e"] = xe[4]
-                row[f"{tag}_T_r"] = xe[5]
-                row[f"{tag}_flux_err"] = flux_err
-                row[f"{tag}_innov_a"] = innov[0]
-                row[f"{tag}_innov_b"] = innov[1]
-                if speed_measured:
-                    row["spd_innov_w"] = innov[2] if innov.size > 2 else math.nan
-
-            for name, val in row.items():
-                cols[name][k] = val
-            u_prev_trace = np.array([va, vb])
-
-        if s < n_steps:
-            h = dt
-            tm, t2 = t + 0.5 * h, t + h
-            vam, vbm = voltage(tm)
-            va2, vb2 = voltage(t2)
-            k1 = rates(ia, ib, pa, pb, we, Tr, va, vb)
-            k2 = rates(ia + 0.5 * h * k1[0], ib + 0.5 * h * k1[1],
-                       pa + 0.5 * h * k1[2], pb + 0.5 * h * k1[3],
-                       we + 0.5 * h * k1[4], Tr, vam, vbm)
-            k3 = rates(ia + 0.5 * h * k2[0], ib + 0.5 * h * k2[1],
-                       pa + 0.5 * h * k2[2], pb + 0.5 * h * k2[3],
-                       we + 0.5 * h * k2[4], Tr, vam, vbm)
-            k4 = rates(ia + h * k3[0], ib + h * k3[1], pa + h * k3[2],
-                       pb + h * k3[3], we + h * k3[4], Tr, va2, vb2)
-            ia += (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            ib += (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            pa += (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            pb += (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            we += (h / 6.0) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-
-    width = max(int(round(sc.flag_window / sc.trace_dt)), 1)
-    cond_max = rolling_abs_max(cols["im_cond"], width)
-    cols["obs_violated"] = (cond_max < sc.obs_threshold).astype(float)
-
-    meta = {
-        "machine": "im",
-        "dt_sim": dt,
-        "trace_dt": sc.trace_dt,
-        "t_end": sc.t_end,
-        "dwell": list(sc.dwell),
-        "obs_threshold": sc.obs_threshold,
-        "flag_window": sc.flag_window,
-        "ekf_steps": ekf_steps,
-        "ekf_p_max_asym": p_asym_max,
-        "ekf_p_min_eig_ratio": p_eig_ratio_min if ekf_steps else math.nan,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    return SimTrace(columns=cols, meta=meta)
+    return _scenario_trace(sc, cols, "im_cond", health, started,
+                           machine="im", dwell=list(sc.dwell))

@@ -68,10 +68,8 @@ def violated_intervals(t: np.ndarray, violated: np.ndarray) -> List[Tuple[float,
     if not v.any():
         return []
     edges = np.flatnonzero(np.diff(v.astype(np.int8)))
-    starts = list(np.flatnonzero(v[:1]) * 0) if v[0] else []
-    starts = [0] if v[0] else []
     bounds = []
-    begin = starts[0] if starts else None
+    begin = 0 if v[0] else None
     for e in edges:
         if v[e + 1] and begin is None:
             begin = e + 1

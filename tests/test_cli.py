@@ -129,6 +129,20 @@ def test_simulate_decimation(tmp_path):
     assert t1.t[1] == pytest.approx(1e-3)
 
 
+@pytest.mark.parametrize("flag, cfg_decimate",
+                         [("0", 1), ("-1", 1), (None, 0)])
+def test_simulate_rejects_decimate_below_one(tmp_path, capsys, flag,
+                                             cfg_decimate):
+    cfg = write_cfg(tmp_path, short_wrsm_cfg(decimate=cfg_decimate))
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", cfg, "--out", str(out)]
+    rc = main(argv + (["--decimate", flag] if flag else []))
+    assert rc == 2
+    assert not (out / "trace.csv").exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "decimate must be at least 1" in err
+
+
 def test_simulate_summary_recomputable_from_csv(tmp_path):
     cfg = write_cfg(tmp_path, short_im_cfg())
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -242,10 +256,12 @@ def test_check_without_block_exit_2(tmp_path):
 
 
 def test_check_degenerate_flux_exit_2(tmp_path):
-    cfg = write_cfg(tmp_path, {
-        "schema": CONFIG_SCHEMA, "machine": {"kind": "im"},
-        "check": {"omega_e": 0.0, "T_m": 1.0, "psi_rd": -1.0}})
-    assert main(["check", "--config", cfg]) == 2
+    # 1e-300 is positive, but its square underflows to zero
+    for psi_rd in (-1.0, 1e-300):
+        cfg = write_cfg(tmp_path, {
+            "schema": CONFIG_SCHEMA, "machine": {"kind": "im"},
+            "check": {"omega_e": 0.0, "T_m": 1.0, "psi_rd": psi_rd}})
+        assert main(["check", "--config", cfg]) == 2, psi_rd
 
 
 # ---------------------------------------------------------------------------

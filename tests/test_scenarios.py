@@ -1,6 +1,7 @@
 """Scenario reproductions: standstill loss, injection recovery, zero-frequency
 loss, plus trace-level invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -244,3 +245,42 @@ def test_im_truth_matches_scenario_truth():
     truth = run_im_truth(sc, scaled=True)
     for name in ("i_sa", "psi_ra", "omega_e"):
         assert np.allclose(full[name], truth[name], rtol=1e-12, atol=1e-12)
+
+
+def test_im_truth_integrator_is_fourth_order():
+    # the integrator the scenarios use, not the reference one in rk4.py
+    def run(dt, scaled):
+        sc = short_im_scenario(0.05, dt_sim=dt, trace_dt=1e-3, run_ekf=False)
+        return run_im_truth(sc, scaled=scaled)
+
+    names = ("i_sa", "i_sb", "psi_ra", "psi_rb", "omega_e")
+    dt = 2.5e-4
+    for scaled in (True, False):
+        ref, a, b = (run(h, scaled) for h in (dt / 32, dt, dt / 2))
+
+        def error(trace):
+            return max(np.max(np.abs(trace[n] - ref[n])) / np.max(np.abs(ref[n]))
+                       for n in names)
+
+        order = math.log2(error(a) / error(b))
+        assert order >= 3.9, (scaled, order)
+
+
+def test_im_covariance_health_checks_both_filters(monkeypatch):
+    import driveobs.scenarios as scenarios
+
+    real_update = scenarios.ekf_update
+
+    def indefinite_with_speed(inst, y):
+        # flip the sign of the with-speed filter's smallest P eigenvalue
+        inst, innov = real_update(inst, y)
+        if inst.model.speed_measured:
+            w, V = np.linalg.eigh(inst.P)
+            w[0] = -w[0]
+            P = V @ np.diag(w) @ V.T
+            inst = dataclasses.replace(inst, P=0.5 * (P + P.T))
+        return inst, innov
+
+    monkeypatch.setattr(scenarios, "ekf_update", indefinite_with_speed)
+    trace = run_im_scenario(short_im_scenario(0.02))
+    assert trace.meta["ekf_p_min_eig_ratio"] < 0
