@@ -10,9 +10,9 @@ from .params import (BrushlessSmParams, DcmParams, ImParams, WrsmParams,
                      PM_DCM_DEFAULT, SERIES_DCM_DEFAULT, SPMSM_DEFAULT,
                      SYRM_DEFAULT, WRSM_DEFAULT, params_from_dict,
                      params_to_dict)
-from .machines import (DcMachine, DcmState, ImState, InductionMachine,
-                       SingularInductanceError, SmState, SynchronousMachine,
-                       dq_derivative, make_machine, park, wrap_angle)
+from .machines import (DcMachine, InductionMachine, SingularInductanceError,
+                       SynchronousMachine, dq_derivative, make_machine, park,
+                       wrap_angle)
 from .lie import (DimensionMismatchError, ObsMatrixResult,
                   machine_observability_matrix, numeric_observability_matrix,
                   standard_row_spec)
@@ -25,7 +25,7 @@ from .observability import (DegenerateFluxError, ObservabilityReport,
                             sm_condition_margin, sm_condition_ratio,
                             sm_determinant, sm_observability_vector,
                             sm_omega_o, unobservability_line)
-from .ekf import (EkfConfig, EkfDivergenceError, EkfInstance, EkfModel,
+from .ekf import (EkfConfig, EkfDivergenceError, EkfInstance,
                   SingularInnovationError, ekf_predict, ekf_step, ekf_update,
                   make_ekf)
 from .rk4 import rk4_integrate, rk4_step

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +59,6 @@ def cmd_simulate(args) -> int:
         _err(f"cannot create output directory: {exc}")
         return EXIT_CONFIG
 
-    t0 = time.perf_counter()
     try:
         if cfg["scenario"]["type"] == "wrsm":
             trace = run_wrsm_scenario(scenario)
@@ -73,9 +71,7 @@ def cmd_simulate(args) -> int:
         return EXIT_SIM
 
     trace.to_csv(out_dir / "trace.csv", decimate=decimate)
-    summary = summarize(trace)
-    summary["wall_time_s"] = time.perf_counter() - t0
-    write_summary(out_dir / "summary.json", summary)
+    write_summary(out_dir / "summary.json", summarize(trace))
     if output.get("plot_script", True):
         _write_plot_script(out_dir / "plot.gp", trace.meta["machine"])
     print(f"trace: {out_dir / 'trace.csv'} ({len(trace.t[::decimate])} rows)")

@@ -6,6 +6,7 @@ fail loudly instead of silently falling back to defaults.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -96,6 +97,11 @@ def validate_config(cfg: dict):
         raise ConfigError(f"machine.params: {exc}") from exc
     if "output" in cfg:
         _require_keys(cfg["output"], ("decimate", "plot_script"), "output")
+        decimate = cfg["output"].get("decimate", 1)
+        if not isinstance(decimate, int) or isinstance(decimate, bool) \
+                or decimate < 1:
+            raise ConfigError("output.decimate must be at least 1 and an "
+                              f"integer, got {decimate!r}")
     for block, validator in (("scenario", _validate_scenario),
                              ("check", _validate_check),
                              ("sweep", _validate_sweep)):
@@ -103,19 +109,15 @@ def validate_config(cfg: dict):
             validator(cfg, cfg[block])
 
 
-_WRSM_SCENARIO_KEYS = ("type", "t_end", "dt_sim", "trace_dt", "speed_profile",
-                       "i_d_ref", "i_q_ref", "i_f_profile",
-                       "injection_windows", "bw_dq", "bw_f",
-                       "field_feedforward", "v_limit", "theta0_error",
-                       "ekf_q_diag", "ekf_r_diag", "ekf_p0_diag", "run_ekf",
-                       "noise_std", "seed", "obs_threshold",
-                       "omega_o_filter_tau", "flag_window")
-_IM_SCENARIO_KEYS = ("type", "t_end", "dt_sim", "trace_dt", "freq_profile",
-                     "load_profile", "v_rated", "v_floor", "omega_rated",
-                     "dwell", "ekf_q_diag_phys", "ekf_r_current_phys",
-                     "ekf_r_speed", "ekf_p0_phys", "x0_est_phys", "run_ekf",
-                     "noise_std", "seed", "obs_threshold",
-                     "omega_s_filter_tau", "flag_window")
+def _scenario_keys(cls) -> tuple:
+    """Keys of a scenario block: its type plus every scenario field but the
+    machine parameters, which live in the machine block."""
+    return ("type",) + tuple(f.name for f in dataclasses.fields(cls)
+                             if f.name != "params")
+
+
+_WRSM_SCENARIO_KEYS = _scenario_keys(WrsmScenario)
+_IM_SCENARIO_KEYS = _scenario_keys(ImScenario)
 
 
 def _validate_scenario(cfg, block):

@@ -13,8 +13,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .machines import InductionMachine, wrap_angle
-
 
 class EkfDivergenceError(RuntimeError):
     """Estimate or covariance exceeded the overflow bound (filter blow-up)."""
@@ -67,52 +65,46 @@ class EkfConfig:
 
 
 @dataclass(frozen=True)
-class EkfModel:
-    """Machine model plus measurement selection for the filter."""
-
-    machine: object
-    speed_measured: bool = False
-    angle_outputs: Tuple[int, ...] = ()
-
-    def f(self, x, u):
-        return self.machine.f(x, u)
-
-    def h(self, x):
-        if isinstance(self.machine, InductionMachine):
-            return self.machine.h(x, self.speed_measured)
-        return self.machine.h(x)
-
-    def output_matrix(self):
-        if isinstance(self.machine, InductionMachine):
-            return self.machine.output_matrix(self.speed_measured)
-        return self.machine.output_matrix()
-
-
-@dataclass(frozen=True)
 class EkfInstance:
-    """Filter state: current estimate, covariance, tuning and model."""
+    """Filter state: current estimate, covariance, tuning, machine model and
+    the indices of the measured states."""
 
     x: np.ndarray
     P: np.ndarray
     config: EkfConfig
-    model: EkfModel
+    machine: object
+    outputs: np.ndarray
 
     @property
     def Ts(self) -> float:
         return self.config.Ts
 
 
-def make_ekf(machine, config: EkfConfig, speed_measured: bool = False,
-             angle_outputs: Tuple[int, ...] = ()) -> EkfInstance:
+def make_ekf(machine, config: EkfConfig,
+             speed_measured: bool = False) -> EkfInstance:
     """Fresh filter instance at the configured initial state/covariance."""
-    model = EkfModel(machine=machine, speed_measured=speed_measured,
-                     angle_outputs=angle_outputs)
-    n_y = model.output_matrix().shape[0]
-    if config.R.shape[0] != n_y:
+    outputs = np.array(machine.output_indices(speed_measured))
+    if config.R.shape[0] != outputs.size:
         raise ValueError(f"R is {config.R.shape[0]}x{config.R.shape[0]}, "
-                         f"model has {n_y} outputs")
+                         f"model has {outputs.size} outputs")
     return EkfInstance(x=config.x0.copy(), P=config.P0.copy(),
-                       config=config, model=model)
+                       config=config, machine=machine, outputs=outputs)
+
+
+def linearize(f, x, u, rel_step: float = 1e-6):
+    """
+    Rate ``f(x, u)`` and its state Jacobian by central differences, from one
+    batched call of ``f``: the centre column plus the 2n perturbed states,
+    each component stepped by ``rel_step * max(1, |x_i|)``.
+    """
+    n = x.size
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    X = np.repeat(x[:, None], 2 * n + 1, axis=1)
+    idx = np.arange(n)
+    X[idx, 1 + idx] += h
+    X[idx, 1 + n + idx] -= h
+    F = np.asarray(f(X, u), float)
+    return F[:, 0], (F[:, 1:n + 1] - F[:, n + 1:]) / (2.0 * h[None, :])
 
 
 def _check_overflow(inst: EkfInstance):
@@ -126,21 +118,10 @@ def _check_overflow(inst: EkfInstance):
 
 def ekf_predict(inst: EkfInstance, u) -> EkfInstance:
     """Propagate estimate and covariance one sample ahead."""
-    u = np.asarray(u, float)
     Ts = inst.Ts
-    f = inst.model.f
-    x = inst.x
-    n = x.size
-    # one batched dynamics call: center column plus the 2n FD perturbations
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    X = np.repeat(x[:, None], 2 * n + 1, axis=1)
-    idx = np.arange(n)
-    X[idx, 1 + idx] += h
-    X[idx, 1 + n + idx] -= h
-    F_all = np.asarray(f(X, u), float)
-    x_next = x + Ts * F_all[:, 0]
-    A = (F_all[:, 1:n + 1] - F_all[:, n + 1:]) / (2.0 * h[None, :])
-    F = np.eye(n) + Ts * A
+    rate, A = linearize(inst.machine.f, inst.x, u)
+    x_next = inst.x + Ts * rate
+    F = np.eye(inst.x.size) + Ts * A
     P_next = F @ inst.P @ F.T + inst.config.Q
     P_next = 0.5 * (P_next + P_next.T)
     out = replace(inst, x=x_next, P=P_next)
@@ -149,24 +130,26 @@ def ekf_predict(inst: EkfInstance, u) -> EkfInstance:
 
 
 def ekf_update(inst: EkfInstance, y) -> Tuple[EkfInstance, np.ndarray]:
-    """Correct the estimate with a measurement; returns (instance, innovation)."""
-    y = np.asarray(y, float)
-    C = inst.model.output_matrix()
-    R = inst.config.R
-    innovation = y - np.asarray(inst.model.h(inst.x), float)
-    for i in inst.model.angle_outputs:
-        innovation[i] = float(wrap_angle(innovation[i]))
-    S = C @ inst.P @ C.T + R
+    """Correct the estimate with a measurement; returns (instance, innovation).
+
+    The output map selects states, so ``C P C^T``, ``P C^T`` and ``K C``
+    are slices of ``P`` and ``K``.
+    """
+    idx = inst.outputs
+    P, R = inst.P, inst.config.R
+    innovation = np.asarray(y, float) - inst.x[idx]
+    S = P[np.ix_(idx, idx)] + R
     S = 0.5 * (S + S.T)
     try:
         np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         raise SingularInnovationError(
             "innovation covariance not positive definite") from None
-    K = np.linalg.solve(S, (inst.P @ C.T).T).T
+    K = np.linalg.solve(S, P[:, idx].T).T
     x_next = inst.x + K @ innovation
-    IKC = np.eye(inst.x.size) - K @ C
-    P_next = IKC @ inst.P @ IKC.T + K @ R @ K.T
+    IKC = np.eye(inst.x.size)
+    IKC[:, idx] -= K
+    P_next = IKC @ P @ IKC.T + K @ R @ K.T
     P_next = 0.5 * (P_next + P_next.T)
     out = replace(inst, x=x_next, P=P_next)
     _check_overflow(out)

@@ -12,8 +12,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .machines import fd_jacobian
-
 SV_RANK_RTOL = 1e-9  # singular values below this fraction of the largest count as zero
 
 # Row selections (output_component, derivative_order) per machine family.
@@ -28,6 +26,33 @@ ROW_SPECS = {
 
 class DimensionMismatchError(ValueError):
     """Row selection does not produce a square matrix."""
+
+
+def fd_jacobian(fun, z, rel_step=1e-6, order=2):
+    """
+    Central-difference Jacobian of ``fun`` at ``z``.
+
+    Per-component step ``rel_step * max(1, |z_i|)``. ``order=4`` selects the
+    five-point fourth-order central stencil.
+    """
+    z = np.asarray(z, float)
+    f0 = np.asarray(fun(z), float)
+    J = np.empty((f0.size, z.size))
+    for i in range(z.size):
+        h = rel_step * max(1.0, abs(z[i]))
+
+        def ev(d, i=i):
+            zz = z.copy()
+            zz[i] += d
+            return np.asarray(fun(zz), float)
+
+        if order == 2:
+            J[:, i] = (ev(h) - ev(-h)) / (2.0 * h)
+        elif order == 4:
+            J[:, i] = (8.0 * (ev(h) - ev(-h)) - (ev(2 * h) - ev(-2 * h))) / (12.0 * h)
+        else:
+            raise ValueError("order must be 2 or 4")
+    return J
 
 
 @dataclass(frozen=True)
@@ -154,10 +179,6 @@ def machine_observability_matrix(machine, x, u, u_dot=None,
                                  **kwargs) -> ObsMatrixResult:
     """Numeric observability matrix with the standard row selection."""
     spec = standard_row_spec(machine, speed_measured)
-    if machine.kind == "im":
-        def h(z):
-            return machine.h(z, speed_measured)
-    else:
-        h = machine.h
-    return numeric_observability_matrix(machine.f, h, x, u, u_dot,
-                                        row_spec=spec, **kwargs)
+    idx = list(machine.output_indices(speed_measured))
+    return numeric_observability_matrix(machine.f, lambda z: z[idx], x, u,
+                                        u_dot, row_spec=spec, **kwargs)

@@ -9,8 +9,6 @@ by the transient inductance, rotor fluxes by the rotor coupling factor).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -59,130 +57,125 @@ def dq_derivative(d_ab, i_dq, omega: float, theta: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# state containers
+# rate kernels: plain arithmetic, so the arguments may be Python floats or
+# numpy rows (one column per state)
 
 
-@dataclass(frozen=True)
-class SmState:
-    """Synchronous-machine state. ``i_f`` is None for brushless kinds."""
+def sm_current_rates(params, has_field: bool, psi_r: float):
+    """
+    Current derivatives of a synchronous machine.
 
-    i_alpha: float
-    i_beta: float
-    omega: float
-    theta: float
-    i_f: Optional[float] = None
+    With a field winding the kernel is ``rates(ia, ib, i_f, w, c, s, va, vb,
+    vf) -> (dia, dib, dif)``, else ``rates(ia, ib, w, c, s, va, vb) -> (dia,
+    dib)``, where ``c, s`` are the cosine and sine of the rotor position.
+    Solves L(theta) di/dt = v - R i - w L'(theta) i - e(theta) with the
+    adjugate of L; the magnet back-EMF e vanishes with ``psi_r`` (wrsm,
+    syrm).
+    """
+    p = params
+    Rs, L0, L2 = p.R_s, p.L_0, p.L_2
 
-    @property
-    def theta_wrapped(self) -> float:
-        return float(wrap_angle(self.theta))
+    if not has_field:
+        def rates(ia, ib, w, c1, s1, va, vb):
+            c2 = 2.0 * c1 * c1 - 1.0
+            s2 = 2.0 * s1 * c1
+            l11 = L0 + L2 * c2
+            l12 = L2 * s2
+            l22 = L0 - L2 * c2
+            lp11 = -2.0 * L2 * s2
+            lp12 = 2.0 * L2 * c2
+            lp22 = 2.0 * L2 * s2
+            e = psi_r * w
+            r1 = va - Rs * ia - w * (lp11 * ia + lp12 * ib) + e * s1
+            r2 = vb - Rs * ib - w * (lp12 * ia + lp22 * ib) - e * c1
+            inv = 1.0 / (l11 * l22 - l12 * l12)
+            return ((l22 * r1 - l12 * r2) * inv, (l11 * r2 - l12 * r1) * inv)
 
-    def as_array(self) -> np.ndarray:
-        if self.i_f is None:
-            return np.array([self.i_alpha, self.i_beta, self.omega, self.theta])
-        return np.array([self.i_alpha, self.i_beta, self.i_f,
-                         self.omega, self.theta])
+        return rates
 
-    @classmethod
-    def from_array(cls, x, has_field: bool) -> "SmState":
-        x = np.asarray(x, float)
-        if has_field:
-            return cls(x[0], x[1], x[3], x[4], i_f=x[2])
-        return cls(x[0], x[1], x[2], x[3])
+    Rf, Mf, Lf = p.R_f, p.M_f, p.L_f
 
+    def rates(ia, ib, i_f, w, c1, s1, va, vb, vf):
+        c2 = 2.0 * c1 * c1 - 1.0
+        s2 = 2.0 * s1 * c1
+        l11 = L0 + L2 * c2
+        l12 = L2 * s2
+        l13 = Mf * c1
+        l22 = L0 - L2 * c2
+        l23 = Mf * s1
+        l33 = Lf
+        lp11 = -2.0 * L2 * s2
+        lp12 = 2.0 * L2 * c2
+        lp13 = -Mf * s1
+        lp22 = 2.0 * L2 * s2
+        lp23 = Mf * c1
+        e = psi_r * w
+        r1 = va - Rs * ia - w * (lp11 * ia + lp12 * ib + lp13 * i_f) + e * s1
+        r2 = vb - Rs * ib - w * (lp12 * ia + lp22 * ib + lp23 * i_f) - e * c1
+        r3 = vf - Rf * i_f - w * (lp13 * ia + lp23 * ib)
+        a11 = l22 * l33 - l23 * l23
+        a12 = l13 * l23 - l12 * l33
+        a13 = l12 * l23 - l13 * l22
+        det = l11 * a11 + l12 * a12 + l13 * a13
+        a22 = l11 * l33 - l13 * l13
+        a23 = l12 * l13 - l11 * l23
+        a33 = l11 * l22 - l12 * l12
+        inv = 1.0 / det
+        return ((a11 * r1 + a12 * r2 + a13 * r3) * inv,
+                (a12 * r1 + a22 * r2 + a23 * r3) * inv,
+                (a13 * r1 + a23 * r2 + a33 * r3) * inv)
 
-@dataclass(frozen=True)
-class ImState:
-    """Induction-machine state in scaled coordinates."""
-
-    it_alpha: float   # L_sigma * i_s_alpha (V·s)
-    it_beta: float
-    pt_alpha: float   # k_r * psi_r_alpha (Wb)
-    pt_beta: float
-    omega_e: float    # electrical rotor speed (rad/s)
-    T_r: float        # resistant torque (N·m)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.it_alpha, self.it_beta, self.pt_alpha,
-                         self.pt_beta, self.omega_e, self.T_r])
-
-    @classmethod
-    def from_array(cls, x) -> "ImState":
-        x = np.asarray(x, float)
-        return cls(*x)
-
-    def currents(self, params: ImParams) -> np.ndarray:
-        """Unscaled stator currents (A)."""
-        return np.array([self.it_alpha, self.it_beta]) / params.L_sigma
-
-    def fluxes(self, params: ImParams) -> np.ndarray:
-        """Unscaled rotor fluxes (Wb)."""
-        return np.array([self.pt_alpha, self.pt_beta]) / params.k_r
+    return rates
 
 
-@dataclass(frozen=True)
-class DcmState:
-    """DC machine state: armature current, mechanical speed, load torque."""
+def im_rates(p: ImParams):
+    """
+    Derivatives of the scaled induction-machine model:
+    ``rates(ia, ib, pa, pb, we, Tr, va, vb)`` returns the rates of the first
+    five states (the resistant torque is constant).
+    """
+    a, b = p.a, p.b
+    itr = 1.0 / p.tau_r
+    ab = a - b
+    c_J = p.c / p.J
+    p_J = p.p / p.J
 
-    i_a: float
-    Omega: float
-    T_l: float
+    def rates(ia, ib, pa, pb, we, Tr, va, vb):
+        # gamma(omega) @ v = v/tau_r - omega*J2 v
+        return (va + a * ia + itr * pa + we * pb,
+                vb + a * ib + itr * pb - we * pa,
+                -(itr * pa + we * pb) - ab * ia,
+                -(itr * pb - we * pa) - ab * ib,
+                c_J * (ib * pa - ia * pb) - p_J * Tr)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.i_a, self.Omega, self.T_l])
+    return rates
 
-    @classmethod
-    def from_array(cls, x) -> "DcmState":
-        x = np.asarray(x, float)
-        return cls(*x)
+
+def im_rates_unscaled(p: ImParams):
+    """The same derivatives in physical coordinates (i_s in A, psi_r in Wb)."""
+    rl = p.R_sigma / p.L_sigma
+    kl = p.k_r / p.L_sigma
+    il = 1.0 / p.L_sigma
+    itr = 1.0 / p.tau_r
+    mtr = p.M / p.tau_r
+    pk_J = p.p**2 * p.k_r / p.J
+    p_J = p.p / p.J
+
+    def rates(ia, ib, pa, pb, we, Tr, va, vb):
+        ga = itr * pa + we * pb
+        gb = itr * pb - we * pa
+        return (-rl * ia + kl * ga + il * va,
+                -rl * ib + kl * gb + il * vb,
+                -ga + mtr * ia,
+                -gb + mtr * ib,
+                pk_J * (ib * pa - ia * pb) - p_J * Tr)
+
+    return rates
 
 
 # ---------------------------------------------------------------------------
-# finite-difference Jacobian (shared by machine linearization and the
-# observability-matrix builder)
-
-
-def fd_jacobian(fun, z, rel_step=1e-6, order=2):
-    """
-    Central-difference Jacobian of ``fun`` at ``z``.
-
-    Per-component step ``rel_step * max(1, |z_i|)``. ``order=4`` selects the
-    five-point fourth-order central stencil.
-    """
-    z = np.asarray(z, float)
-    f0 = np.asarray(fun(z), float)
-    J = np.empty((f0.size, z.size))
-    for i in range(z.size):
-        h = rel_step * max(1.0, abs(z[i]))
-
-        def ev(d, i=i):
-            zz = z.copy()
-            zz[i] += d
-            return np.asarray(fun(zz), float)
-
-        if order == 2:
-            J[:, i] = (ev(h) - ev(-h)) / (2.0 * h)
-        elif order == 4:
-            J[:, i] = (8.0 * (ev(h) - ev(-h)) - (ev(2 * h) - ev(-2 * h))) / (12.0 * h)
-        else:
-            raise ValueError("order must be 2 or 4")
-    return J
-
-
-def fd_state_jacobian(f_batched, x, rel_step=1e-6):
-    """Central-difference Jacobian using one batched dynamics evaluation."""
-    x = np.asarray(x, float)
-    n = x.size
-    h = rel_step * np.maximum(1.0, np.abs(x))
-    X = np.repeat(x[:, None], 2 * n, axis=1)
-    idx = np.arange(n)
-    X[idx, idx] += h
-    X[idx, n + idx] -= h
-    F = np.asarray(f_batched(X), float)
-    return (F[:, :n] - F[:, n:]) / (2.0 * h[None, :])
-
-
-# ---------------------------------------------------------------------------
-# machines
+# machines: ``output_indices`` names the measured states, so the output map
+# is ``y = x[output_indices()]``
 
 
 class SynchronousMachine:
@@ -193,7 +186,7 @@ class SynchronousMachine:
     field winding (wrsm, hesm) the state is (i_alpha, i_beta, i_f, omega,
     theta) with input (v_alpha, v_beta, v_f); brushless kinds drop the field
     row. Speed has no modeled dynamics (d omega/dt = 0); position integrates
-    the speed.
+    the speed. Only the currents are measured.
     """
 
     def __init__(self, params):
@@ -210,12 +203,19 @@ class SynchronousMachine:
         self.n_currents = 3 if self.has_field else 2
         self.n_states = self.n_currents + 2
         self.n_inputs = self.n_currents
-        self.n_outputs = self.n_currents
+        # det L(theta) does not depend on theta
+        p = params
+        det = p.L_q * (p.L_d * p.L_f - p.M_f**2) if self.has_field \
+            else p.L_d * p.L_q
+        if abs(det) < DET_L_FLOOR:
+            raise SingularInductanceError(
+                f"|det L| below {DET_L_FLOOR:g}; parameters are nonphysical")
+        self.rates = sm_current_rates(params, self.has_field, self.psi_r)
 
     def inductance(self, theta):
-        """Inductance matrix and its first two position derivatives.
+        """Inductance matrix and its position derivative.
 
-        Returns (L, L', L'') — 3x3 with a field winding, else the 2x2 stator
+        Returns (L, L') — 3x3 with a field winding, else the 2x2 stator
         block. Accepts an array of angles, returning stacked (..., k, k).
         """
         th = np.asarray(theta, float)
@@ -226,16 +226,12 @@ class SynchronousMachine:
         shape = th.shape + (k, k)
         L = np.zeros(shape)
         Lp = np.zeros(shape)
-        Lpp = np.zeros(shape)
         L[..., 0, 0] = L0 + L2 * c2
         L[..., 0, 1] = L[..., 1, 0] = L2 * s2
         L[..., 1, 1] = L0 - L2 * c2
         Lp[..., 0, 0] = -2 * L2 * s2
         Lp[..., 0, 1] = Lp[..., 1, 0] = 2 * L2 * c2
         Lp[..., 1, 1] = 2 * L2 * s2
-        Lpp[..., 0, 0] = -4 * L2 * c2
-        Lpp[..., 0, 1] = Lpp[..., 1, 0] = -4 * L2 * s2
-        Lpp[..., 1, 1] = 4 * L2 * c2
         if self.has_field:
             c1, s1 = np.cos(th), np.sin(th)
             Mf, Lf = p.M_f, p.L_f
@@ -244,54 +240,20 @@ class SynchronousMachine:
             L[..., 2, 2] = Lf
             Lp[..., 0, 2] = Lp[..., 2, 0] = -Mf * s1
             Lp[..., 1, 2] = Lp[..., 2, 1] = Mf * c1
-            Lpp[..., 0, 2] = Lpp[..., 2, 0] = -Mf * c1
-            Lpp[..., 1, 2] = Lpp[..., 2, 1] = -Mf * s1
-        return L, Lp, Lpp
+        return L, Lp
 
     def f(self, x, u):
         """State derivative. ``x`` may be a single state (n,) or batched (n, m)."""
         x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        single = x.ndim == 1
-        X = x[:, None] if single else x
         k = self.n_currents
-        I = X[:k]                      # (k, m)
-        omega = X[k]
-        theta = X[k + 1]
-        L, Lp, _ = self.inductance(theta)          # (m, k, k)
-        det = np.linalg.det(L)
-        if np.any(np.abs(det) < DET_L_FLOOR):
-            raise SingularInductanceError(
-                f"|det L| below {DET_L_FLOOR:g}; parameters are nonphysical")
-        p = self.params
-        R = np.zeros(k)
-        R[:2] = p.R_s
-        if self.has_field:
-            R[2] = p.R_f
-        U = np.broadcast_to(u[:, None] if u.ndim == 1 else u, I.shape)
-        rhs = U - R[:, None] * I - omega * np.einsum("mij,jm->im", Lp, I)
-        if self.psi_r != 0.0:
-            rhs = rhs.copy()
-            rhs[0] -= self.psi_r * omega * (-np.sin(theta))
-            rhs[1] -= self.psi_r * omega * np.cos(theta)
-        dI = np.linalg.solve(L, rhs.T[:, :, None])[:, :, 0].T   # (k, m)
-        out = np.vstack([dI, np.zeros_like(omega)[None, :], omega[None, :]])
-        return out[:, 0] if single else out
+        w, th = x[k], x[k + 1]
+        dI = self.rates(*x[:k], w, np.cos(th), np.sin(th),
+                        *np.asarray(u, float))
+        return np.array(dI + (np.zeros_like(w), w))
 
-    def h(self, x):
-        """Measured outputs: the machine currents."""
-        x = np.asarray(x, float)
-        return x[:self.n_currents].copy()
-
-    def output_matrix(self) -> np.ndarray:
-        C = np.zeros((self.n_outputs, self.n_states))
-        C[:, :self.n_currents] = np.eye(self.n_currents)
-        return C
-
-    def jacobians(self, x, u):
-        """(A, C): state Jacobian by central differences, exact output map."""
-        A = fd_state_jacobian(lambda X: self.f(X, u), x)
-        return A, self.output_matrix()
+    def output_indices(self, speed_measured: bool = False):
+        """The currents; a speed sensor is modeled for the IM only."""
+        return tuple(range(self.n_currents))
 
 
 class InductionMachine:
@@ -300,7 +262,8 @@ class InductionMachine:
 
     State (L_sigma*i_alpha, L_sigma*i_beta, k_r*psi_alpha, k_r*psi_beta,
     omega_e, T_r) with input (v_alpha, v_beta). The resistant torque is a
-    slowly-varying state (dT_r/dt = 0).
+    slowly-varying state (dT_r/dt = 0). The stator currents are measured,
+    and the speed too when a speed sensor is fitted.
     """
 
     n_states = 6
@@ -309,41 +272,13 @@ class InductionMachine:
     def __init__(self, params: ImParams):
         self.params = params
         self.kind = "im"
+        self.rates = im_rates(params)
 
     def f(self, x, u):
+        """State derivative. ``x`` may be a single state (n,) or batched (n, m)."""
         x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        single = x.ndim == 1
-        X = x[:, None] if single else x
-        p = self.params
-        a, b, c = p.a, p.b, p.c
-        itr = 1.0 / p.tau_r
-        ia, ib, pa, pb, we, Tr = X
-        u0, u1 = u[0], u[1]   # scalar or per-column row; broadcasts either way
-        out = np.empty_like(X)
-        # gamma(omega) @ v = v/tau_r - omega*J2 v, applied per column
-        out[0] = u0 + a * ia + itr * pa + we * pb
-        out[1] = u1 + a * ib + itr * pb - we * pa
-        out[2] = -(itr * pa + we * pb) - (a - b) * ia
-        out[3] = -(itr * pb - we * pa) - (a - b) * ib
-        out[4] = (c / p.J) * (ib * pa - ia * pb) - (p.p / p.J) * Tr
-        out[5] = 0.0
-        return out[:, 0] if single else out
-
-    def f_unscaled(self, x, u):
-        """Dynamics in physical coordinates (i_s in A, psi_r in Wb)."""
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        p = self.params
-        I = x[:2]
-        Psi = x[2:4]
-        we, Tr = x[4], x[5]
-        gam = np.eye(2) / p.tau_r - we * J2
-        dI = (-(p.R_sigma / p.L_sigma) * I + (p.k_r / p.L_sigma) * (gam @ Psi)
-              + u / p.L_sigma)
-        dPsi = -(gam @ Psi) + (p.M / p.tau_r) * I
-        dwe = (p.p**2 / p.J) * p.k_r * (I @ (J2 @ Psi)) - (p.p / p.J) * Tr
-        return np.concatenate([dI, dPsi, [dwe, 0.0]])
+        dx = self.rates(*x, *np.asarray(u, float))
+        return np.array(dx + (np.zeros_like(x[5]),))
 
     @property
     def scale_vector(self) -> np.ndarray:
@@ -351,31 +286,16 @@ class InductionMachine:
         p = self.params
         return np.array([p.L_sigma, p.L_sigma, p.k_r, p.k_r, 1.0, 1.0])
 
-    def h(self, x, speed_measured: bool = False):
-        x = np.asarray(x, float)
-        if speed_measured:
-            return np.array([x[0], x[1], x[4]])
-        return x[:2].copy()
-
-    def output_matrix(self, speed_measured: bool = False) -> np.ndarray:
-        n_y = 3 if speed_measured else 2
-        C = np.zeros((n_y, 6))
-        C[0, 0] = C[1, 1] = 1.0
-        if speed_measured:
-            C[2, 4] = 1.0
-        return C
-
-    def jacobians(self, x, u, speed_measured: bool = False):
-        A = fd_state_jacobian(lambda X: self.f(X, u), x)
-        return A, self.output_matrix(speed_measured)
+    def output_indices(self, speed_measured: bool = False):
+        return (0, 1, 4) if speed_measured else (0, 1)
 
 
 class DcMachine:
-    """DC machine: permanent-magnet (linear) or series-excited (bilinear)."""
+    """DC machine: permanent-magnet (linear) or series-excited (bilinear).
+    Only the armature current is measured."""
 
     n_states = 3
     n_inputs = 1
-    n_outputs = 1
 
     def __init__(self, params: DcmParams):
         self.params = params
@@ -399,16 +319,9 @@ class DcMachine:
         out = np.vstack([dia, dOm, np.zeros_like(Tl)])
         return out[:, 0] if single else out
 
-    def h(self, x):
-        x = np.asarray(x, float)
-        return x[:1].copy()
-
-    def output_matrix(self) -> np.ndarray:
-        return np.array([[1.0, 0.0, 0.0]])
-
-    def jacobians(self, x, u):
-        A = fd_state_jacobian(lambda X: self.f(X, u), x)
-        return A, self.output_matrix()
+    def output_indices(self, speed_measured: bool = False):
+        """The armature current; a speed sensor is modeled for the IM only."""
+        return (0,)
 
 
 def make_machine(kind: str, params=None):

@@ -317,7 +317,7 @@ def sm_operating_point(params, omega: float, i_sd: float, i_sq: float,
         currents = np.asarray(i_ab)
         dI = np.asarray(di_ab)
         R = np.array([params.R_s, params.R_s])
-    L, Lp, _ = machine.inductance(theta)
+    L, Lp = machine.inductance(theta)
     u = L @ dI + R * currents + omega * (Lp @ currents)
     if machine.psi_r != 0.0:
         u = u + machine.psi_r * omega * np.array(

@@ -18,7 +18,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .ekf import EkfConfig, ekf_predict, ekf_update, make_ekf
-from .machines import InductionMachine, SynchronousMachine, park, wrap_angle
+from .machines import (InductionMachine, SynchronousMachine, im_rates,
+                       im_rates_unscaled, park, wrap_angle)
 from .observability import (OBS_THRESHOLD_DEFAULT, im_condition,
                             im_determinant, sm_condition_ratio,
                             sm_determinant, slip_frequency)
@@ -188,90 +189,15 @@ def default_im_load_profile(t_end: float = 8.5) -> SignalProfile:
 
 
 # ---------------------------------------------------------------------------
-# fast scalar kernels (tested against the machine models)
+# plant kernels
 
 
 def wrsm_current_rates(p: WrsmParams):
-    """Scalar-math current derivatives of the wound-rotor machine."""
-    Rs, Rf = p.R_s, p.R_f
-    L0, L2, Mf, Lf = p.L_0, p.L_2, p.M_f, p.L_f
-    floor = 1e-18
-
-    def rates(ia, ib, i_f, w, th, va, vb, vf):
-        c1 = math.cos(th)
-        s1 = math.sin(th)
-        c2 = 2.0 * c1 * c1 - 1.0
-        s2 = 2.0 * s1 * c1
-        l11 = L0 + L2 * c2
-        l12 = L2 * s2
-        l13 = Mf * c1
-        l22 = L0 - L2 * c2
-        l23 = Mf * s1
-        l33 = Lf
-        lp11 = -2.0 * L2 * s2
-        lp12 = 2.0 * L2 * c2
-        lp13 = -Mf * s1
-        lp22 = 2.0 * L2 * s2
-        lp23 = Mf * c1
-        r1 = va - Rs * ia - w * (lp11 * ia + lp12 * ib + lp13 * i_f)
-        r2 = vb - Rs * ib - w * (lp12 * ia + lp22 * ib + lp23 * i_f)
-        r3 = vf - Rf * i_f - w * (lp13 * ia + lp23 * ib)
-        a11 = l22 * l33 - l23 * l23
-        a12 = l13 * l23 - l12 * l33
-        a13 = l12 * l23 - l13 * l22
-        det = l11 * a11 + l12 * a12 + l13 * a13
-        if abs(det) < floor:
-            from .machines import SingularInductanceError
-            raise SingularInductanceError("inductance matrix is singular")
-        a22 = l11 * l33 - l13 * l13
-        a23 = l12 * l13 - l11 * l23
-        a33 = l11 * l22 - l12 * l12
-        inv = 1.0 / det
-        return ((a11 * r1 + a12 * r2 + a13 * r3) * inv,
-                (a12 * r1 + a22 * r2 + a23 * r3) * inv,
-                (a13 * r1 + a23 * r2 + a33 * r3) * inv)
-
-    return rates
-
-
-def im_rates(p: ImParams):
-    """Scalar-math derivatives of the scaled induction-machine model."""
-    a, b = p.a, p.b
-    itr = 1.0 / p.tau_r
-    ab = a - b
-    c_J = p.c / p.J
-    p_J = p.p / p.J
-
-    def rates(ia, ib, pa, pb, we, Tr, va, vb):
-        return (va + a * ia + itr * pa + we * pb,
-                vb + a * ib + itr * pb - we * pa,
-                -(itr * pa + we * pb) - ab * ia,
-                -(itr * pb - we * pa) - ab * ib,
-                c_J * (ib * pa - ia * pb) - p_J * Tr)
-
-    return rates
-
-
-def im_rates_unscaled(p: ImParams):
-    """Scalar-math derivatives of the physical-coordinate IM model."""
-    rl = p.R_sigma / p.L_sigma
-    kl = p.k_r / p.L_sigma
-    il = 1.0 / p.L_sigma
-    itr = 1.0 / p.tau_r
-    mtr = p.M / p.tau_r
-    pk_J = p.p**2 * p.k_r / p.J
-    p_J = p.p / p.J
-
-    def rates(ia, ib, pa, pb, we, Tr, va, vb):
-        ga = itr * pa + we * pb
-        gb = itr * pb - we * pa
-        return (-rl * ia + kl * ga + il * va,
-                -rl * ib + kl * gb + il * vb,
-                -ga + mtr * ia,
-                -gb + mtr * ib,
-                pk_J * (ib * pa - ia * pb) - p_J * Tr)
-
-    return rates
+    """The wound-rotor machine's current kernel, taking the rotor position
+    ``th`` in place of its cosine and sine."""
+    rates = SynchronousMachine(p).rates
+    return lambda ia, ib, i_f, w, th, va, vb, vf: rates(
+        ia, ib, i_f, w, math.cos(th), math.sin(th), va, vb, vf)
 
 
 def _integrate_im(sc: ImScenario, scaled: bool):
@@ -443,7 +369,7 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
 
     speed = sc.speed_profile
     i_f_ref_profile = sc.i_f_profile
-    rates = wrsm_current_rates(p)
+    rates = machine.rates
 
     # PI gains from pole placement on the decoupled loops
     pi_d = PiController(sc.bw_dq * p.L_d, sc.bw_dq * p.R_s,
@@ -520,13 +446,14 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
             t2 = t + h
             wm, thm = speed.value(tm), speed.integral(tm)
             w2, th2 = speed.value(t2), speed.integral(t2)
-            k1 = rates(ia, ib, i_f, w, th, va, vb, v_f)
+            cm, sm = math.cos(thm), math.sin(thm)
+            k1 = rates(ia, ib, i_f, w, c1, s1, va, vb, v_f)
             k2 = rates(ia + 0.5 * h * k1[0], ib + 0.5 * h * k1[1],
-                       i_f + 0.5 * h * k1[2], wm, thm, va, vb, v_f)
+                       i_f + 0.5 * h * k1[2], wm, cm, sm, va, vb, v_f)
             k3 = rates(ia + 0.5 * h * k2[0], ib + 0.5 * h * k2[1],
-                       i_f + 0.5 * h * k2[2], wm, thm, va, vb, v_f)
+                       i_f + 0.5 * h * k2[2], wm, cm, sm, va, vb, v_f)
             k4 = rates(ia + h * k3[0], ib + h * k3[1], i_f + h * k3[2],
-                       w2, th2, va, vb, v_f)
+                       w2, math.cos(th2), math.sin(th2), va, vb, v_f)
             ia += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
             ib += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
             i_f += (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
@@ -541,7 +468,7 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     for k in range(n_trace):
         t, w, th, ia, ib, i_f, i_d, i_q, va, vb, v_f = rows[k, :11].tolist()
         c1, s1 = math.cos(th), math.sin(th)
-        dia, dib, dif = rates(ia, ib, i_f, w, th, va, vb, v_f)
+        dia, dib, dif = rates(ia, ib, i_f, w, c1, s1, va, vb, v_f)
         did = (c1 * dia + s1 * dib) + w * i_q
         diq = (-s1 * dia + c1 * dib) - w * i_d
         det_sm[k] = sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif)
@@ -604,7 +531,7 @@ def run_im_scenario(sc: ImScenario) -> SimTrace:
     kr = p.k_r
     L_sig = p.L_sigma
     torque_gain = p.p / L_sig   # T_m from scaled cross product
-    rates = im_rates(p)
+    rates = machine.rates
 
     filters = {}
     if sc.run_ekf:

@@ -27,6 +27,12 @@ def _nanmin(x) -> float:
     return float(np.min(x)) if x.size else math.nan
 
 
+def _window_check(window, holds) -> bool | None:
+    """A check on a window of trace rows; None (null in the summary) when
+    the window has no row, as when the run ends before it."""
+    return bool(holds) if window.any() else None
+
+
 def _innovation_stats(trace: SimTrace, names) -> dict:
     """Bias and whiteness monitors per innovation channel.
 
@@ -59,21 +65,28 @@ def summarize_wrsm(trace: SimTrace) -> dict:
     violated = trace["obs_violated"] > 0.5
     intervals = violated_intervals(t, violated)
     windows = meta["injection_windows"]
-    w0, w1 = windows[0]
-
-    pre = trace.window_mask(0.1, w0 - 0.01)
-    inj1 = trace.window_mask(w0 + 0.02, w1)
+    theta_err = trace["theta_err"]
+    pre = inj1 = settled = np.zeros(len(t), bool)
+    if windows:
+        w0, w1 = windows[0]
+        pre = trace.window_mask(0.1, w0 - 0.01)
+        inj1 = trace.window_mask(w0 + 0.02, w1)
+        # the row 0.5 s into the window, or the last row if the run ends first
+        t_settled = t[min(int(np.searchsorted(t, w0 + 0.5)), len(t) - 1)]
+        settled = trace.window_mask(t_settled, t_settled)
     outside = ~violated
 
-    theta_err = trace["theta_err"]
-    idx_settled = min(int(np.searchsorted(t, w0 + 0.5)), len(t) - 1)
     checks = {
-        "held_before_injection": bool(_nanmin(np.abs(theta_err[pre])) > 0.2),
-        "converged_after_injection": bool(abs(theta_err[idx_settled]) < 0.05),
-        "omega_o_active_in_window": bool(
-            _nanmax(np.abs(trace["omega_o"][inj1])) >= meta["obs_threshold"]),
-        "flag_set_at_standstill": bool(np.all(violated[pre])),
-        "flag_cleared_in_window": bool(~np.any(violated[inj1])),
+        "held_before_injection": _window_check(
+            pre, _nanmin(np.abs(theta_err[pre])) > 0.2),
+        "converged_after_injection": _window_check(
+            settled, np.all(np.abs(theta_err[settled]) < 0.05)),
+        "omega_o_active_in_window": _window_check(
+            inj1, _nanmax(np.abs(trace["omega_o"][inj1]))
+            >= meta["obs_threshold"]),
+        "flag_set_at_standstill": _window_check(pre, np.all(violated[pre])),
+        "flag_cleared_in_window": _window_check(
+            inj1, not np.any(violated[inj1])),
     }
     summary = {
         "schema": SUMMARY_SCHEMA,
@@ -111,14 +124,18 @@ def summarize_im(trace: SimTrace) -> dict:
 
     spd_err = trace["spd_flux_err"]
     sl_err = trace["sl_flux_err"]
+    running = trace.window_mask(0.5, meta["t_end"])
     checks = {
-        "with_speed_flux_ok": bool(
-            _nanmax(spd_err[trace.window_mask(0.5, meta["t_end"])]) < 0.05),
-        "sensorless_fails_in_dwell": bool(_nanmax(sl_err[dwell]) > 0.20),
-        "sensorless_reconverges": bool(_nanmax(sl_err[after]) < 0.05),
-        "cond_small_in_dwell": bool(
-            _nanmax(np.abs(trace["im_cond"][dwell])) < meta["obs_threshold"]),
-        "flag_set_in_dwell": bool(np.all(violated[dwell])),
+        "with_speed_flux_ok": _window_check(
+            running, _nanmax(spd_err[running]) < 0.05),
+        "sensorless_fails_in_dwell": _window_check(
+            dwell, _nanmax(sl_err[dwell]) > 0.20),
+        "sensorless_reconverges": _window_check(
+            after, _nanmax(sl_err[after]) < 0.05),
+        "cond_small_in_dwell": _window_check(
+            dwell, _nanmax(np.abs(trace["im_cond"][dwell]))
+            < meta["obs_threshold"]),
+        "flag_set_in_dwell": _window_check(dwell, np.all(violated[dwell])),
     }
     summary = {
         "schema": SUMMARY_SCHEMA,

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from driveobs import cli
 from driveobs.cli import main
 from driveobs.config import CONFIG_SCHEMA, bundled_config_path
 from driveobs.params import IM_DEFAULT
@@ -109,6 +110,22 @@ def test_simulate_wrsm_outputs(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["schema"] == "driveobs-summary/1"
     assert summary["checks"]["converged_after_injection"] is True
+    # the window opens at 0.1 s, so no row lies before it
+    assert summary["checks"]["held_before_injection"] is None
+    assert summary["checks"]["flag_set_at_standstill"] is None
+
+
+def test_simulate_wrsm_without_injection_window(tmp_path):
+    cfg_dict = short_wrsm_cfg()
+    cfg_dict["scenario"]["injection_windows"] = []
+    cfg_dict["scenario"]["i_f_profile"] = [
+        {"kind": "constant", "t0": 0.0, "t1": 0.3, "value": 4.0}]
+    cfg = write_cfg(tmp_path, cfg_dict)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert len(summary["checks"]) == 5
+    assert all(v is None for v in summary["checks"].values())
 
 
 def test_simulate_im_outputs_and_schema(tmp_path):
@@ -118,6 +135,9 @@ def test_simulate_im_outputs_and_schema(tmp_path):
     trace = SimTrace.from_csv(tmp_path / "out" / "trace.csv")
     assert trace.column_names == IM_COLUMNS
     assert not (tmp_path / "out" / "plot.gp").exists()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    # the run ends before its re-convergence window [d1 + 1.0, d1 + 1.5] s
+    assert summary["checks"]["sensorless_reconverges"] is None
 
 
 def test_simulate_decimation(tmp_path):
@@ -130,7 +150,8 @@ def test_simulate_decimation(tmp_path):
 
 
 @pytest.mark.parametrize("flag, cfg_decimate",
-                         [("0", 1), ("-1", 1), (None, 0)])
+                         [("0", 1), ("-1", 1), (None, 0), (None, "x"),
+                          (None, 2.5)])
 def test_simulate_rejects_decimate_below_one(tmp_path, capsys, flag,
                                              cfg_decimate):
     cfg = write_cfg(tmp_path, short_wrsm_cfg(decimate=cfg_decimate))
@@ -141,6 +162,22 @@ def test_simulate_rejects_decimate_below_one(tmp_path, capsys, flag,
     assert not (out / "trace.csv").exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "decimate must be at least 1" in err
+
+
+def test_simulate_summary_wall_time_is_the_scenarios(tmp_path, monkeypatch):
+    run = cli.run_wrsm_scenario
+
+    def timed_run(scenario):
+        trace = run(scenario)
+        trace.meta["wall_time_s"] = 123.0
+        return trace
+
+    monkeypatch.setattr(cli, "run_wrsm_scenario", timed_run)
+    cfg = write_cfg(tmp_path, short_wrsm_cfg())
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["wall_time_s"] == 123.0
 
 
 def test_simulate_summary_recomputable_from_csv(tmp_path):

@@ -1,14 +1,13 @@
 """Extended Kalman filter: recursion contracts, invariants, failure modes."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from driveobs.ekf import (EkfConfig, EkfDivergenceError, EkfInstance,
-                          EkfModel, SingularInnovationError, ekf_predict,
-                          ekf_step, ekf_update, make_ekf)
+from driveobs.ekf import (EkfConfig, EkfDivergenceError,
+                          SingularInnovationError, ekf_predict, ekf_step,
+                          ekf_update, linearize, make_ekf)
 from driveobs.machines import SynchronousMachine, make_machine
 from driveobs.params import SPMSM_DEFAULT
 from driveobs.rk4 import rk4_step
@@ -29,20 +28,15 @@ class StillModel:
         x = np.asarray(x, float)
         return np.zeros_like(x)
 
-    def h(self, x):
-        return np.asarray(x, float).copy()
-
-    def output_matrix(self):
-        return np.eye(self.n)
+    def output_indices(self, speed_measured=False):
+        return tuple(range(self.n))
 
 
 def still_ekf(n=1, q=TINY, r=1.0, p0=1.0, x0=None):
     cfg = EkfConfig(Q=q * np.eye(n), R=r * np.eye(n), P0=p0 * np.eye(n),
                     x0=np.zeros(n) if x0 is None else np.asarray(x0, float),
                     Ts=1e-3)
-    model = EkfModel(machine=StillModel(n))
-    return EkfInstance(x=cfg.x0.copy(), P=cfg.P0.copy(), config=cfg,
-                       model=model)
+    return make_ekf(StillModel(n), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +105,8 @@ def test_predict_matches_discretized_truth_for_linear_model():
     x_true = rk4_step(m.f, x, lambda t: u, 0.0, Ts)
     # explicit first-order prediction is within O(Ts^2) of the true flow;
     # the local error constant is the state acceleration A*f
-    A, _ = m.jacobians(x, u)
-    accel = np.max(np.abs(A @ m.f(x, u)))
+    rate, A = linearize(m.f, x, u)
+    accel = np.max(np.abs(A @ rate))
     assert np.max(np.abs(out.x - x_true)) < Ts**2 * accel
 
 
@@ -159,19 +153,26 @@ def test_update_singular_innovation_error():
         ekf_update(inst, np.array([0.0]))
 
 
-def test_update_wraps_angle_innovation():
-    class AngleModel(StillModel):
-        pass
-
-    cfg = EkfConfig(Q=TINY * np.eye(1), R=np.eye(1), P0=np.eye(1),
-                    x0=np.array([3.0]), Ts=1e-3)
-    model = EkfModel(machine=AngleModel(1), angle_outputs=(0,))
-    inst = EkfInstance(x=cfg.x0.copy(), P=cfg.P0.copy(), config=cfg,
-                       model=model)
-    # measurement just past -pi is a small negative angle away from 3 rad
-    out, innov = ekf_update(inst, np.array([3.0 - 2 * math.pi + 0.1]))
-    assert innov[0] == pytest.approx(0.1, abs=1e-12)
-    assert out.x[0] == pytest.approx(3.05, abs=1e-12)
+def test_update_matches_output_matrix_form():
+    """Selecting the measured states (speed included, so not a prefix)
+    equals the update written with a 0/1 output matrix C."""
+    m = make_machine("im")
+    B = RNG.normal(0, 1, (6, 6))
+    P = B @ B.T + np.eye(6)
+    R = np.diag([0.5, 0.7, 0.9])
+    x0 = RNG.normal(0, 1, 6)
+    inst = make_ekf(m, EkfConfig(Q=np.eye(6), R=R, P0=P, x0=x0, Ts=1e-4),
+                    speed_measured=True)
+    y = RNG.normal(0, 1, 3)
+    out, innov = ekf_update(inst, y)
+    C = np.zeros((3, 6))
+    C[0, 0] = C[1, 1] = C[2, 4] = 1.0
+    K = P @ C.T @ np.linalg.inv(C @ P @ C.T + R)
+    IKC = np.eye(6) - K @ C
+    assert np.array_equal(innov, y - C @ x0)
+    assert np.allclose(out.x, x0 + K @ innov, rtol=1e-12, atol=0)
+    assert np.allclose(out.P, IKC @ P @ IKC.T + K @ R @ K.T, rtol=1e-12,
+                       atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +190,7 @@ def test_pm_dcm_converges_from_wrong_start():
     u = np.array([12.0])
     for k in range(2000):
         x = rk4_step(m.f, x, lambda t: u, k * Ts, Ts)
-        inst, _ = ekf_step(inst, u, m.h(x))
+        inst, _ = ekf_step(inst, u, x[:1])
     assert np.linalg.norm(x - inst.x) < 0.01 * err0
 
 
@@ -204,7 +205,7 @@ def test_consistent_replay_keeps_innovations_small():
         worst = 0.0
         for k in range(int(0.02 / Ts)):
             x = rk4_step(m.f, x, lambda t: u, k * Ts, Ts)
-            inst, innov = ekf_step(inst, u, m.h(x))
+            inst, innov = ekf_step(inst, u, x[:1])
             worst = max(worst, np.max(np.abs(innov)))
         return worst
 
@@ -229,7 +230,7 @@ def test_spmsm_standstill_position_not_corrected():
                     x0=np.array([i_dq[0], i_dq[1], 0.0, theta_err0]), Ts=Ts)
     inst = make_ekf(m, cfg)
     for _ in range(2000):
-        inst, _ = ekf_step(inst, u, m.h(x_true))
+        inst, _ = ekf_step(inst, u, x_true[:2])
     assert abs(inst.x[3] - theta_err0) < 0.05 * theta_err0
 
 
@@ -243,7 +244,7 @@ def test_covariance_invariants_over_long_run():
     u = np.array([3.0])
     for k in range(3000):
         x = rk4_step(m.f, x, lambda t: u, k * Ts, Ts)
-        inst, _ = ekf_step(inst, u, m.h(x))
+        inst, _ = ekf_step(inst, u, x[:1])
         assert np.max(np.abs(inst.P - inst.P.T)) < 1e-9
         if k % 100 == 0:
             eig = np.linalg.eigvalsh(inst.P)
@@ -261,7 +262,7 @@ def test_deterministic_reruns():
         u = np.array([12.0])
         for k in range(300):
             x = rk4_step(m.f, x, lambda t: u, k * 1e-4, 1e-4)
-            inst, _ = ekf_step(inst, u, m.h(x))
+            inst, _ = ekf_step(inst, u, x[:1])
             xs.append(inst.x.copy())
         return np.array(xs)
 

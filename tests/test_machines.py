@@ -1,14 +1,15 @@
-"""Machine models: transforms, inductances, dynamics, Jacobians, states."""
+"""Machine models: transforms, inductances, dynamics, outputs, Jacobians."""
 
 import math
 
 import numpy as np
 import pytest
 
-from driveobs.machines import (DcmState, ImState, InductionMachine,
-                               SingularInductanceError, SmState,
+from driveobs.ekf import linearize
+from driveobs.machines import (InductionMachine, SingularInductanceError,
                                SynchronousMachine, dq_derivative,
-                               make_machine, park, wrap_angle)
+                               im_rates_unscaled, make_machine, park,
+                               wrap_angle)
 from driveobs.params import (BrushlessSmParams, WrsmParams, HESM_DEFAULT,
                              IM_DEFAULT, IPMSM_DEFAULT, PM_DCM_DEFAULT,
                              SERIES_DCM_DEFAULT, WRSM_DEFAULT)
@@ -63,7 +64,7 @@ def test_wrap_angle_range():
 
 def test_wrsm_inductance_at_zero_angle():
     m = SynchronousMachine(WRSM_DEFAULT)
-    L, _, _ = m.inductance(0.0)
+    L, _ = m.inductance(0.0)
     p = WRSM_DEFAULT
     expected = np.array([[p.L_d, 0.0, p.M_f],
                          [0.0, p.L_q, 0.0],
@@ -74,7 +75,7 @@ def test_wrsm_inductance_at_zero_angle():
 def test_wrsm_inductance_symmetric_positive():
     m = SynchronousMachine(WRSM_DEFAULT)
     thetas = np.linspace(-np.pi, np.pi, 360, endpoint=False)
-    L, _, _ = m.inductance(thetas)
+    L, _ = m.inductance(thetas)
     assert np.max(np.abs(L - np.swapaxes(L, -1, -2))) == 0.0
     eig = np.linalg.eigvalsh(L)
     assert np.min(eig) > 0.0
@@ -84,12 +85,10 @@ def test_wrsm_inductance_derivatives_match_finite_differences():
     m = SynchronousMachine(WRSM_DEFAULT)
     h = 1e-5
     for th in (0.7, -2.1, 3.0):
-        L, Lp, Lpp = m.inductance(th)
+        L, Lp = m.inductance(th)
         Lp_fd = (m.inductance(th + h)[0] - m.inductance(th - h)[0]) / (2 * h)
-        Lpp_fd = (m.inductance(th + h)[1] - m.inductance(th - h)[1]) / (2 * h)
         scale = np.max(np.abs(Lp))
         assert np.max(np.abs(Lp - Lp_fd)) < 1e-8 * scale
-        assert np.max(np.abs(Lpp - Lpp_fd)) < 1e-8 * np.max(np.abs(Lpp))
 
 
 # ---------------------------------------------------------------------------
@@ -125,29 +124,21 @@ def test_series_dcm_zero_current_rate():
 def test_singular_inductance_raises():
     tiny = BrushlessSmParams(kind="spmsm", R_s=0.01, L_d=1e-10, L_q=1e-10,
                              psi_r=0.01, J=1e-2, p=2)
-    m = SynchronousMachine(tiny)
     with pytest.raises(SingularInductanceError):
-        m.f(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(2))
+        SynchronousMachine(tiny)
 
 
 def test_im_scaled_unscaled_agreement():
     m = InductionMachine(IM_DEFAULT)
     S = m.scale_vector
+    rates_unscaled = im_rates_unscaled(IM_DEFAULT)
     for _ in range(100):
         x = RNG.normal(0, 1, 6) * np.array([2e-3, 2e-3, 0.05, 0.05, 100, 5])
         u = RNG.normal(0, 1, 2)
-        d_scaled = m.f(x, u)
-        d_mapped = S * m.f_unscaled(x / S, u)
+        d_scaled = m.f(x, u)[:5]
+        d_mapped = S[:5] * np.array(rates_unscaled(*(x / S), *u))
         denom = np.abs(d_scaled) + 1e-12
         assert np.max(np.abs(d_scaled - d_mapped) / denom) < 1e-10
-
-
-def test_im_state_unscaled_accessors_exact():
-    st = ImState(1e-3, -2e-3, 0.04, -0.01, 50.0, 5.0)
-    p = IM_DEFAULT
-    assert st.currents(p)[0] == 1e-3 / p.L_sigma
-    assert st.fluxes(p)[1] == -0.01 / p.k_r
-    assert np.all(ImState.from_array(st.as_array()).as_array() == st.as_array())
 
 
 def test_brushless_matches_wrsm_restriction():
@@ -164,7 +155,7 @@ def test_brushless_matches_wrsm_restriction():
         vs = RNG.normal(0, 20, 2)
         d_bl = bl.f(np.array([ia, ib, w, th]), vs)
         # field voltage that freezes the field current
-        L, Lp, _ = wr.inductance(th)
+        L, Lp = wr.inductance(th)
         I3 = np.array([ia, ib, i_f])
         v_f = L[2, :2] @ d_bl[:2] + pw.R_f * i_f + w * (Lp[2] @ I3)
         d_wr = wr.f(np.array([ia, ib, i_f, w, th]),
@@ -193,7 +184,20 @@ def test_hesm_adds_magnet_flux_to_field_model():
 
 
 # ---------------------------------------------------------------------------
-# Jacobians
+# outputs
+
+
+def test_output_indices_are_the_measured_states():
+    im = InductionMachine(IM_DEFAULT)
+    assert im.output_indices() == (0, 1)
+    assert im.output_indices(speed_measured=True) == (0, 1, 4)
+    assert make_machine("wrsm").output_indices() == (0, 1, 2)
+    assert make_machine("ipmsm").output_indices() == (0, 1)
+    assert make_machine("pm_dcm").output_indices() == (0,)
+
+
+# ---------------------------------------------------------------------------
+# Jacobians of the filter's linearization
 
 
 def test_jacobians_directional_derivative_oracle():
@@ -202,19 +206,19 @@ def test_jacobians_directional_derivative_oracle():
         x = np.array([RNG.normal(0, 10), RNG.normal(0, 10), RNG.normal(0, 5),
                       RNG.normal(0, 100), RNG.uniform(-np.pi, np.pi)])
         u = RNG.normal(0, 20, 3)
-        A, C = m.jacobians(x, u)
+        rate, A = linearize(m.f, x, u)
+        assert np.array_equal(rate, m.f(x, u))
         delta = RNG.normal(0, 1, 5) * 1e-4
         lhs = A @ delta
         rhs = (m.f(x + delta, u) - m.f(x - delta, u)) / 2.0
         assert np.max(np.abs(lhs - rhs)) < 1e-5 * max(np.max(np.abs(rhs)), 1.0)
-        assert np.all(C == m.output_matrix())
 
 
 def test_im_jacobian_rows_match_printed_entries():
     m = InductionMachine(IM_DEFAULT)
     p = IM_DEFAULT
     x = np.array([1e-3, -2e-3, 0.04, -0.01, 80.0, 3.0])
-    A, C = m.jacobians(x, np.array([0.5, -0.2]), speed_measured=True)
+    _, A = linearize(m.f, x, np.array([0.5, -0.2]))
     # current-rate sensitivities to flux and speed
     assert A[0, 2] == pytest.approx(1.0 / p.tau_r, rel=1e-6)
     assert A[0, 3] == pytest.approx(x[4], rel=1e-6)
@@ -229,14 +233,13 @@ def test_im_jacobian_rows_match_printed_entries():
     assert A[4, 2] == pytest.approx(cJ * x[1], rel=1e-5)
     assert A[4, 3] == pytest.approx(-cJ * x[0], rel=1e-5)
     assert A[4, 5] == pytest.approx(-p.p / p.J, rel=1e-6)
-    assert C.shape == (3, 6) and C[2, 4] == 1.0
 
 
 def test_pm_dcm_jacobian_constant():
     m = make_machine("pm_dcm")
     u = np.array([5.0])
-    A1, _ = m.jacobians(np.array([1.0, 10.0, 0.2]), u)
-    A2, _ = m.jacobians(np.array([-3.0, 200.0, 1.5]), u)
+    _, A1 = linearize(m.f, np.array([1.0, 10.0, 0.2]), u)
+    _, A2 = linearize(m.f, np.array([-3.0, 200.0, 1.5]), u)
     assert np.allclose(A1, A2, atol=1e-9)
 
 
@@ -250,17 +253,6 @@ def test_batched_f_matches_single():
         batch = m.f(xs, u)
         for j in range(7):
             assert np.allclose(batch[:, j], m.f(xs[:, j], u), rtol=1e-12)
-
-
-def test_sm_state_container():
-    st = SmState(1.0, 2.0, 50.0, 7.0, i_f=3.0)
-    assert st.theta_wrapped == pytest.approx(float(wrap_angle(7.0)))
-    x = st.as_array()
-    assert list(x) == [1.0, 2.0, 3.0, 50.0, 7.0]
-    assert SmState.from_array(x, has_field=True) == st
-    st2 = SmState(1.0, 2.0, 50.0, 7.0)
-    assert list(st2.as_array()) == [1.0, 2.0, 50.0, 7.0]
-    assert DcmState.from_array(DcmState(1, 2, 3).as_array()) == DcmState(1, 2, 3)
 
 
 def test_dq_derivative_consistency():
