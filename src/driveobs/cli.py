@@ -18,7 +18,9 @@ from .ekf import EkfDivergenceError, SingularInnovationError
 from .machines import SingularInductanceError, make_machine
 from .profiles import ProfileDomainError
 from .observability import (DegenerateFluxError, OBS_THRESHOLD_DEFAULT,
+                            im_condition, im_steady_determinant,
                             im_steady_operating_point, observability_report,
+                            slip_frequency, sm_determinant,
                             sm_operating_point)
 from .params import params_from_dict
 from .scenarios import run_im_scenario, run_wrsm_scenario
@@ -33,6 +35,15 @@ EXIT_NOT_GUARANTEED = 4
 
 def _err(msg: str):
     print(f"driveobs: {msg}", file=sys.stderr)
+
+
+def _make_dir(path: Path) -> bool:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        return True
+    except OSError as exc:
+        _err(f"cannot create output directory: {exc}")
+        return False
 
 
 def cmd_simulate(args) -> int:
@@ -53,10 +64,7 @@ def cmd_simulate(args) -> int:
         _err(f"decimate must be at least 1, got {decimate}")
         return EXIT_CONFIG
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _err(f"cannot create output directory: {exc}")
+    if not _make_dir(out_dir):
         return EXIT_CONFIG
 
     try:
@@ -155,55 +163,47 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.guaranteed else EXIT_NOT_GUARANTEED
 
 
+def _sweep_cells(cfg: dict):
+    """Header and rows of the sweep CSV: one row per cell of the grid of the
+    two axes ``x``, ``y``, the second axis varying slowest."""
+    kind = cfg["machine"]["kind"]
+    params = params_from_dict(kind, cfg["machine"].get("params", {}))
+    block = cfg["sweep"]
+    x, y = np.meshgrid(*(np.linspace(block[a]["min"], block[a]["max"],
+                                     block[a]["n"])
+                         for a in (("omega_e", "T_m") if kind == "im"
+                                   else ("i_d", "i_q"))))
+    if kind == "im":
+        psi_rd = block.get("psi_rd", 0.05)
+        det = im_steady_determinant(params, x, y, psi_rd)
+        omega_s = x + slip_frequency(params, y, psi_rd)
+        cells = (x, y, det, im_condition(params, x, 0.0, omega_s))
+        header = "omega_e,T_m,determinant,condition"
+    else:
+        omega = block.get("omega", 0.0)
+        i_f = block.get("i_f", 0.0) if kind in ("wrsm", "hesm") else None
+        det = sm_determinant(params, omega, x, y, i_f)
+        cells = (x, y, det, np.full_like(det, omega))
+        header = "i_d,i_q,determinant,omega"
+    return header, np.column_stack([c.ravel() for c in cells])
+
+
 def cmd_sweep(args) -> int:
     try:
         cfg = load_config(args.config)
         if "sweep" not in cfg:
             raise ConfigError("config has no sweep block")
-    except ConfigError as exc:
+        header, rows = _sweep_cells(cfg)
+    except (ConfigError, DegenerateFluxError) as exc:
         _err(str(exc))
         return EXIT_CONFIG
-    kind = cfg["machine"]["kind"]
-    params = params_from_dict(kind, cfg["machine"].get("params", {}))
-    block = cfg["sweep"]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _make_dir(out_dir):
+        return EXIT_CONFIG
     path = out_dir / "sweep.csv"
-
-    def axis(name):
-        spec = block[name]
-        return np.linspace(spec["min"], spec["max"], int(spec["n"]))
-
-    from .observability import (im_condition, im_steady_determinant,
-                                slip_frequency, sm_determinant)
-
-    rows = []
-    if kind == "im":
-        psi_rd = block.get("psi_rd", 0.05)
-        try:
-            for T_m in axis("T_m"):
-                for omega_e in axis("omega_e"):
-                    det = im_steady_determinant(params, omega_e, T_m, psi_rd)
-                    omega_s = omega_e + slip_frequency(params, T_m, psi_rd)
-                    cond = im_condition(params, omega_e, 0.0, omega_s)
-                    rows.append((omega_e, T_m, det, cond))
-        except DegenerateFluxError as exc:
-            _err(str(exc))
-            return EXIT_CONFIG
-        header = "omega_e,T_m,determinant,condition"
-    else:
-        omega = block.get("omega", 0.0)
-        i_f = block.get("i_f", 0.0)
-        for i_q in axis("i_q"):
-            for i_d in axis("i_d"):
-                det = sm_determinant(params, omega, i_d, i_q,
-                                     i_f if kind in ("wrsm", "hesm") else None)
-                rows.append((i_d, i_q, det, omega))
-        header = "i_d,i_q,determinant,omega"
-
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, np.asarray(rows), fmt="%.12g", delimiter=",")
+        np.savetxt(fh, rows, fmt="%.12g", delimiter=",")
     print(f"sweep: {path} ({len(rows)} cells)")
     return EXIT_OK
 

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from importlib import resources
 
 import numpy as np
 
-from .params import MACHINE_KINDS, params_from_dict
+from .params import (DEFAULT_PARAMS, MACHINE_KINDS, params_from_dict,
+                     params_to_dict)
 from .profiles import Segment, SignalProfile
 from .scenarios import ImScenario, WrsmScenario
 
@@ -35,6 +36,25 @@ def _require_keys(block: dict, allowed, where: str, required=()):
     missing = set(required) - set(block)
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+
+
+def _require_numbers(block: dict, defaults: dict, where: str):
+    """Reject a value unlike every default of its field (a list per key) if
+    one is a number: an int takes an int, a float any number, None null."""
+    for key, value in block.items():
+        types = {type(d) for d in defaults.get(key, ())}
+        if types & {int, float} and type(value) not in types | {int}:
+            raise ConfigError(f"{where}.{key} must have the type of "
+                              f"{' or '.join(map(repr, defaults[key]))}, "
+                              f"got {value!r}")
+
+
+def _require_finite(block: dict, keys, where: str):
+    for key in keys:
+        if type(block[key]) not in (int, float) \
+                or not abs(block[key]) <= sys.float_info.max:
+            raise ConfigError(f"{where}.{key} must be a finite number, got "
+                              f"{block[key]!r}")
 
 
 def _segments_from_json(items, where: str) -> SignalProfile:
@@ -91,8 +111,13 @@ def validate_config(cfg: dict):
     kind = cfg["machine"]["kind"]
     if kind not in MACHINE_KINDS:
         raise ConfigError(f"unknown machine kind {kind!r}")
+    params = cfg["machine"].get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("machine.params must be an object")
+    _require_numbers(params, {k: [v] for k, v in params_to_dict(
+        DEFAULT_PARAMS[kind]).items()}, "machine.params")
     try:
-        params_from_dict(kind, cfg["machine"].get("params", {}))
+        params_from_dict(kind, params)
     except ValueError as exc:
         raise ConfigError(f"machine.params: {exc}") from exc
     if "output" in cfg:
@@ -118,6 +143,9 @@ def _scenario_keys(cls) -> tuple:
 
 _WRSM_SCENARIO_KEYS = _scenario_keys(WrsmScenario)
 _IM_SCENARIO_KEYS = _scenario_keys(ImScenario)
+_SCENARIO_DEFAULTS = {}   # the defaults of each field in either scenario
+for _f in dataclasses.fields(WrsmScenario) + dataclasses.fields(ImScenario):
+    _SCENARIO_DEFAULTS.setdefault(_f.name, []).append(_f.default)
 
 
 def _validate_scenario(cfg, block):
@@ -134,6 +162,7 @@ def _validate_scenario(cfg, block):
             raise ConfigError("im scenario requires machine.kind == 'im'")
     else:
         raise ConfigError(f"unknown scenario type {stype!r}")
+    _require_numbers(block, _SCENARIO_DEFAULTS, "scenario")
 
 
 def _validate_check(cfg, block):
@@ -149,6 +178,7 @@ def _validate_check(cfg, block):
     if kind == "im" and block.get("mode", "sensorless") not in (
             "sensorless", "with_speed"):
         raise ConfigError("check.mode must be 'sensorless' or 'with_speed'")
+    _require_finite(block, sorted(set(block) - {"mode"}), "check")
 
 
 def _validate_sweep(cfg, block):
@@ -163,14 +193,16 @@ def _validate_sweep(cfg, block):
         axes = ("i_d", "i_q")
     else:
         raise ConfigError("sweep supports SM and IM machines only")
+    _require_finite(block, sorted(set(block) - set(axes)), "sweep")
     for axis in axes:
         spec = block[axis]
         _require_keys(spec, ("min", "max", "n"), f"sweep.{axis}",
                       required=("min", "max", "n"))
-        if spec["n"] < 1 or not math.isfinite(spec["min"]) \
-                or not math.isfinite(spec["max"]) \
+        _require_finite(spec, ("min", "max"), f"sweep.{axis}")
+        if type(spec["n"]) is not int or spec["n"] < 1 \
                 or (spec["n"] > 1 and spec["max"] <= spec["min"]):
-            raise ConfigError(f"sweep.{axis} grid is degenerate")
+            raise ConfigError(f"sweep.{axis} grid is degenerate: n must be "
+                              "an integer of at least 1 and max above min")
 
 
 def scenario_from_config(cfg: dict):

@@ -5,7 +5,8 @@ flux-like "observability vector" whose angular velocity relative to the rotor
 decides observability; the induction machine gets determinants with and
 without speed measurement, the angular-frequency condition and the
 not-guaranteed line in the speed-torque plane; DC machines get their
-constant/current-scaled determinants.
+constant/current-scaled determinants. The closed forms are plain arithmetic:
+each argument may be a Python float or a numpy array of operating points.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class ObservabilityVector:
             return math.nan
         return float(wrap_angle(math.atan2(self.psi_oq, self.psi_od)))
 
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.psi_od, self.psi_oq)
-
 
 def _sm_kind(params) -> str:
     if isinstance(params, WrsmParams):
@@ -60,8 +57,9 @@ def _sm_kind(params) -> str:
     raise TypeError("params must be WrsmParams or BrushlessSmParams")
 
 
-def _rotor_flux_const(params, kind: str, i_f: Optional[float]) -> float:
+def _rotor_flux_const(params, i_f: Optional[float]) -> float:
     """Rotor-side excitation flux entering the d-axis component."""
+    kind = _sm_kind(params)
     flux = 0.0
     if kind in ("wrsm", "hesm"):
         if i_f is None:
@@ -80,8 +78,7 @@ def sm_observability_vector(params, i_sd: float, i_sq: float,
     d-component: saliency flux plus total rotor excitation flux (active
     flux); q-component: saliency flux weighted by the field-leakage factor.
     """
-    kind = _sm_kind(params)
-    psi_od = params.L_delta * i_sd + _rotor_flux_const(params, kind, i_f)
+    psi_od = params.L_delta * i_sd + _rotor_flux_const(params, i_f)
     psi_oq = params.sigma_delta * params.L_delta * i_sq
     return ObservabilityVector(psi_od=psi_od, psi_oq=psi_oq)
 
@@ -106,10 +103,7 @@ def sm_omega_o(params, i_sd, i_sq, i_f=None, di_sd=0.0, di_sq=0.0,
     vec = sm_observability_vector(params, i_sd, i_sq, i_f)
     dd, dq = sm_observability_vector_rate(params, i_sd, i_sq, i_f,
                                           di_sd, di_sq, di_f)
-    mag2 = vec.psi_od**2 + vec.psi_oq**2
-    if mag2 == 0.0:
-        return math.nan
-    return (vec.psi_od * dq - vec.psi_oq * dd) / mag2
+    return flux_angular_velocity((vec.psi_od, vec.psi_oq), (dd, dq))
 
 
 def sm_determinant(params, omega: float, i_sd: float, i_sq: float,
@@ -123,10 +117,9 @@ def sm_determinant(params, omega: float, i_sd: float, i_sq: float,
     leakage factors collapse to 1 for brushless machines, so one expression
     covers every kind.
     """
-    kind = _sm_kind(params)
     sd, sD, LD = params.sigma_d, params.sigma_delta, params.L_delta
     Ld, Lq = params.L_d, params.L_q
-    psi_od = LD * i_sd + _rotor_flux_const(params, kind, i_f)
+    psi_od = LD * i_sd + _rotor_flux_const(params, i_f)
     d_flux_rate, _ = sm_observability_vector_rate(params, i_sd, i_sq, i_f,
                                                   di_sd, di_sq, di_f)
     speed_term = (psi_od**2 + sD * LD**2 * i_sq**2) / (sd * Ld * Lq)
@@ -143,18 +136,11 @@ def sm_condition_ratio(params, i_sd, i_sq, i_f=None) -> float:
     identically 1 for brushless machines and NaN when both the d-component
     and i_sq vanish.
     """
-    kind = _sm_kind(params)
     sD, LD = params.sigma_delta, params.L_delta
-    psi_od = LD * i_sd + _rotor_flux_const(params, kind, i_f)
-    if psi_od == 0.0 and i_sq == 0.0:
-        return math.nan
-    if i_sq == 0.0:
-        return 1.0
+    psi_od = LD * i_sd + _rotor_flux_const(params, i_f)
     num = psi_od**2 + sD**2 * LD**2 * i_sq**2
     den = psi_od**2 + sD * LD**2 * i_sq**2
-    if den == 0.0:
-        return math.nan
-    return num / den
+    return num / np.where(den == 0.0, math.nan, den)   # NaN where den == 0
 
 
 def sm_condition_margin(omega: float, omega_o: float) -> float:
@@ -176,25 +162,21 @@ def im_determinant(params: ImParams, mode: str, state, state_dot) -> float:
     mode : str
         "with_speed" (currents + speed measured) or "sensorless".
     state, state_dot : array_like
-        Scaled state vector and its time derivative (as produced by
-        ``InductionMachine.f``). The sensorless expression is written in
-        unscaled fluxes; scaling is undone internally.
+        Scaled state and its time derivative (as from ``InductionMachine.f``):
+        a (6,) point, (6, n) columns or a tuple. The sensorless expression is
+        written in unscaled fluxes; scaling is undone internally.
     """
-    state = np.asarray(state, float)
+    we = state[4]
     if mode == "with_speed":
-        we = state[4]
         return -(params.p / params.J) * (we**2 + 1.0 / params.tau_r**2)
     if mode != "sensorless":
         raise ValueError("mode must be 'with_speed' or 'sensorless'")
-    state_dot = np.asarray(state_dot, float)
     kr, tr = params.k_r, params.tau_r
-    psi = state[2:4] / kr
-    dpsi = state_dot[2:4] / kr
-    we = state[4]
-    dwe = state_dot[4]
-    cross = dpsi[0] * psi[1] - dpsi[1] * psi[0]
+    pa, pb = state[2] / kr, state[3] / kr
+    dpa, dpb, dwe = state_dot[2] / kr, state_dot[3] / kr, state_dot[4]
+    cross = dpa * pb - dpb * pa
     return (params.p / params.J) * (kr**2 / tr**2) * (
-        tr * dwe * (psi @ psi) - (1.0 + tr**2 * we**2) * cross)
+        tr * dwe * (pa * pa + pb * pb) - (1.0 + tr**2 * we**2) * cross)
 
 
 def sensorless_oracle_scale(params: ImParams) -> float:
@@ -211,12 +193,10 @@ def sensorless_oracle_scale(params: ImParams) -> float:
 
 def flux_angular_velocity(psi, dpsi) -> float:
     """Angular velocity of a rotating two-vector; NaN for a zero vector."""
-    psi = np.asarray(psi, float)
-    dpsi = np.asarray(dpsi, float)
-    mag2 = float(psi @ psi)
-    if mag2 == 0.0:
-        return math.nan
-    return (psi[0] * dpsi[1] - psi[1] * dpsi[0]) / mag2
+    mag2 = psi[0]**2 + psi[1]**2
+    # a zero denominator becomes NaN: no raise on floats, no warning on arrays
+    return (psi[0] * dpsi[1] - psi[1] * dpsi[0]) / np.where(
+        mag2 == 0.0, math.nan, mag2)
 
 
 def im_condition(params: ImParams, omega_e: float, domega_e: float,
@@ -234,7 +214,7 @@ def im_condition(params: ImParams, omega_e: float, domega_e: float,
 def slip_frequency(params: ImParams, T_m: float, psi_rd: float) -> float:
     """Rotor-current angular frequency for a given torque and direct flux."""
     psi_sq = psi_rd**2
-    if psi_rd <= 0.0 or psi_sq == 0.0:
+    if np.count_nonzero((psi_rd <= 0.0) | (psi_sq == 0.0)):
         raise DegenerateFluxError("psi_rd must be positive, with a square "
                                   "that does not underflow")
     return (params.R_r / params.p) * T_m / psi_sq
@@ -257,16 +237,14 @@ def im_steady_determinant(params: ImParams, omega_e: float, T_m: float,
     """
     Sensorless determinant at a synthetic steady operating point.
 
-    Constructs the rotating-flux steady state for (omega_e, T_m, psi_rd)
-    with stator frequency omega_e + slip and evaluates the closed form.
+    The steady flux (k_r psi_rd, 0) rotates at the stator frequency
+    omega_e + slip at constant speed.
     """
     omega_s = omega_e + slip_frequency(params, T_m, psi_rd)
-    kr = params.k_r
-    psi_t = np.array([kr * psi_rd, 0.0])
-    dpsi_t = omega_s * np.array([0.0, kr * psi_rd])
-    state = np.array([0.0, 0.0, psi_t[0], psi_t[1], omega_e, T_m])
-    state_dot = np.array([0.0, 0.0, dpsi_t[0], dpsi_t[1], 0.0, 0.0])
-    return im_determinant(params, "sensorless", state, state_dot)
+    psi = params.k_r * psi_rd
+    return im_determinant(params, "sensorless",
+                          (0.0, 0.0, psi, 0.0, omega_e, T_m),
+                          (0.0, 0.0, 0.0, omega_s * psi, 0.0, 0.0))
 
 
 def im_steady_operating_point(params: ImParams, omega_e: float, T_m: float,
@@ -398,11 +376,10 @@ def observability_report(machine, x, u, u_dot=None,
                              di_dq[0], di_dq[1], di_f)
         omega_o = sm_omega_o(machine.params, i_dq[0], i_dq[1], i_f,
                              di_dq[0], di_dq[1], di_f)
-        margin = sm_condition_margin(omega, omega_o) if not math.isnan(omega_o) \
-            else math.nan
+        margin = sm_condition_margin(omega, omega_o)
         vec = sm_observability_vector(machine.params, i_dq[0], i_dq[1], i_f)
         psi_od, psi_oq = vec.psi_od, vec.psi_oq
-        guaranteed = not math.isnan(margin) and abs(margin) >= threshold
+        guaranteed = abs(margin) >= threshold
     elif isinstance(machine, InductionMachine):
         mode = "with_speed" if speed_measured else "sensorless"
         det = im_determinant(machine.params, mode, x, xdot)
@@ -412,11 +389,9 @@ def observability_report(machine, x, u, u_dot=None,
         else:
             kr = machine.params.k_r
             omega_s = flux_angular_velocity(x[2:4] / kr, xdot[2:4] / kr)
-            margin = im_condition(machine.params, x[4], xdot[4], omega_s) \
-                if not math.isnan(omega_s) else math.nan
-            guaranteed = not math.isnan(margin) and abs(margin) >= threshold
-        oracle_scale = sensorless_oracle_scale(machine.params) \
-            if not speed_measured else 1.0
+            margin = im_condition(machine.params, x[4], xdot[4], omega_s)
+            guaranteed = abs(margin) >= threshold
+            oracle_scale = sensorless_oracle_scale(machine.params)
     elif isinstance(machine, DcMachine):
         det = dcm_determinant(machine.params, x[0])
         margin = math.nan

@@ -204,10 +204,10 @@ def _integrate_im(sc: ImScenario, scaled: bool):
     """
     IM plant stage: RK4 on the dt_sim grid, sampled on the trace grid.
 
-    Returns ``(t, X, V, omega_s)``: the trace-row times, the state
-    ``(i_a, i_b, psi_a, psi_b, omega_e, T_r)`` in the integrated model's own
-    coordinates, the applied voltages and the stator-flux-frequency estimate
-    from the rotor flux angle, low-pass filtered every dt_sim.
+    Returns ``(t, X, V, omega_s_cmd, omega_s)``: the trace-row times, the
+    state ``(i_a, i_b, psi_a, psi_b, omega_e, T_r)`` in the model's own
+    coordinates, the applied voltages, the commanded stator frequency and
+    the flux-angle frequency estimate, low-pass filtered every dt_sim.
     """
     dt = sc.dt_sim
     n_steps, n_sub, n_trace = _grid(sc)
@@ -223,6 +223,7 @@ def _integrate_im(sc: ImScenario, scaled: bool):
     times = np.zeros(n_trace)
     X = np.zeros((n_trace, 6))
     V = np.zeros((n_trace, 2))
+    omega_s_cmd = np.zeros(n_trace)
     omega_s = np.zeros(n_trace)
     ang_prev = None
     omega_s_filt = 0.0
@@ -246,6 +247,7 @@ def _integrate_im(sc: ImScenario, scaled: bool):
             times[k] = t
             X[k] = ia, ib, pa, pb, we, Tr
             V[k] = va, vb
+            omega_s_cmd[k] = freq.value(t)
             omega_s[k] = omega_s_filt
 
         if s < n_steps:
@@ -266,7 +268,7 @@ def _integrate_im(sc: ImScenario, scaled: bool):
             pa += (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
             pb += (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
             we += (h / 6.0) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-    return times, X, V, omega_s
+    return times, X, V, omega_s_cmd, omega_s
 
 
 def run_im_truth(sc: ImScenario, scaled: bool = True) -> SimTrace:
@@ -281,7 +283,7 @@ def run_im_truth(sc: ImScenario, scaled: bool = True) -> SimTrace:
     """
     p = sc.params
     s_i, s_p = (p.L_sigma, p.k_r) if scaled else (1.0, 1.0)
-    t, X, V, omega_s = _integrate_im(sc, scaled)
+    t, X, V, _, omega_s = _integrate_im(sc, scaled)
     cols = {"t": t, "i_sa": X[:, 0] / s_i, "i_sb": X[:, 1] / s_i,
             "psi_ra": X[:, 2] / s_p, "psi_rb": X[:, 3] / s_p,
             "omega_e": X[:, 4], "T_r": X[:, 5], "omega_s": omega_s,
@@ -462,17 +464,15 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     theta = cols["theta"]
     cols["theta"] = wrap_angle(theta)
 
-    # closed-form channels at the operating point of each trace row
-    det_sm = np.zeros(n_trace)
-    ratio = np.zeros(n_trace)
-    for k in range(n_trace):
-        t, w, th, ia, ib, i_f, i_d, i_q, va, vb, v_f = rows[k, :11].tolist()
-        c1, s1 = math.cos(th), math.sin(th)
-        dia, dib, dif = rates(ia, ib, i_f, w, c1, s1, va, vb, v_f)
-        did = (c1 * dia + s1 * dib) + w * i_q
-        diq = (-s1 * dia + c1 * dib) - w * i_d
-        det_sm[k] = sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif)
-        ratio[k] = sm_condition_ratio(p, i_d, i_q, i_f)
+    # closed-form channels on the trace columns
+    c1, s1 = np.cos(theta), np.sin(theta)
+    w, i_d, i_q, i_f = cols["omega"], cols["i_sd"], cols["i_sq"], cols["i_f"]
+    dia, dib, dif = rates(cols["i_sa"], cols["i_sb"], i_f, w, c1, s1,
+                          cols["v_sa"], cols["v_sb"], cols["v_f"])
+    did = (c1 * dia + s1 * dib) + w * i_q
+    diq = (-s1 * dia + c1 * dib) - w * i_d
+    det_sm = sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif)
+    ratio = sm_condition_ratio(p, i_d, i_q, i_f)
 
     est = np.full((n_trace, 5), math.nan)
     innov = np.full((n_trace, 3), math.nan)
@@ -530,8 +530,6 @@ def run_im_scenario(sc: ImScenario) -> SimTrace:
     machine = InductionMachine(p)
     kr = p.k_r
     L_sig = p.L_sigma
-    torque_gain = p.p / L_sig   # T_m from scaled cross product
-    rates = machine.rates
 
     filters = {}
     if sc.run_ekf:
@@ -540,23 +538,20 @@ def run_im_scenario(sc: ImScenario) -> SimTrace:
                 machine, _im_ekf_config(sc, machine, speed_measured),
                 speed_measured=speed_measured)
 
-    t, X, V, omega_s = _integrate_im(sc, scaled=True)
+    t, X, V, omega_s_cmd, omega_s = _integrate_im(sc, scaled=True)
     n = len(t)
 
-    # closed-form channels at the operating point of each trace row
-    chan = np.zeros((n, 7))
-    for k in range(n):
-        x_true = X[k]
-        ia, ib, pa, pb, we, Tr = x_true.tolist()
-        xdot = np.array(rates(ia, ib, pa, pb, we, Tr, *V[k].tolist()) + (0.0,))
-        T_m = torque_gain * (ib * pa - ia * pb)
-        psi_rd = math.hypot(pa, pb) / kr
-        line_dist = we + slip_frequency(p, T_m, psi_rd) if psi_rd > 1e-9 \
-            else math.nan
-        chan[k] = (sc.freq_profile.value(t[k].item()), T_m, psi_rd,
-                   im_condition(p, we, xdot[4], omega_s[k].item()),
-                   im_determinant(p, "with_speed", x_true, xdot),
-                   im_determinant(p, "sensorless", x_true, xdot), line_dist)
+    # closed-form channels on the trace columns; the line distance is NaN
+    # where the flux is too small to define the slip
+    ia, ib, pa, pb, we, Tr = X.T
+    xdot = machine.rates(ia, ib, pa, pb, we, Tr, V[:, 0], V[:, 1])
+    T_m = (p.p / L_sig) * (ib * pa - ia * pb)
+    psi_rd = np.hypot(pa, pb) / kr
+    im_cond = im_condition(p, we, xdot[4], omega_s)
+    det_with_speed = im_determinant(p, "with_speed", X.T, xdot)
+    det_sensorless = im_determinant(p, "sensorless", X.T, xdot)
+    line_distance = we + slip_frequency(
+        p, T_m, np.where(psi_rd > 1e-9, psi_rd, math.nan))
 
     y_i = _noisy(X[:, :2], sc.noise_std * L_sig, sc.seed)
     filtered, health = {}, []
@@ -567,24 +562,21 @@ def run_im_scenario(sc: ImScenario) -> SimTrace:
             Y = np.column_stack([y_i, X[:, 4]]) if speed_measured else y_i
             est, innov, filter_health = _run_filter(filters[tag], V, Y)
             health.append(filter_health)
-        flux_err = np.empty(n)
-        for k, (ea, eb, pa, pb) in enumerate(
-                zip(est[:, 2], est[:, 3], X[:, 2], X[:, 3])):
-            flux_err[k] = math.hypot(ea - pa, eb - pb) / max(
-                math.hypot(pa, pb), 1e-12)
+        flux_err = np.hypot(est[:, 2] - pa, est[:, 3] - pb) / np.maximum(
+            np.hypot(pa, pb), 1e-12)
         filtered[tag] = est, innov, flux_err
 
     # physical units, in place so that each trace column is a view
     for A in (X, filtered["spd"][0], filtered["sl"][0]):
         A[:, :2] /= L_sig
         A[:, 2:4] /= kr
-    cols = {"t": t, "omega_s_cmd": chan[:, 0], "v_sa": V[:, 0],
+    cols = {"t": t, "omega_s_cmd": omega_s_cmd, "v_sa": V[:, 0],
             "v_sb": V[:, 1], "T_load": X[:, 5].copy(), "i_sa": X[:, 0],
             "i_sb": X[:, 1], "psi_ra": X[:, 2], "psi_rb": X[:, 3],
-            "omega_e": X[:, 4], "T_r": X[:, 5], "T_m": chan[:, 1],
-            "psi_rd": chan[:, 2], "omega_s": omega_s, "im_cond": chan[:, 3],
-            "det_with_speed": chan[:, 4], "det_sensorless": chan[:, 5],
-            "line_distance": chan[:, 6]}
+            "omega_e": X[:, 4], "T_r": X[:, 5], "T_m": T_m,
+            "psi_rd": psi_rd, "omega_s": omega_s, "im_cond": im_cond,
+            "det_with_speed": det_with_speed,
+            "det_sensorless": det_sensorless, "line_distance": line_distance}
     for tag, (est, innov, flux_err) in filtered.items():
         cols.update({
             f"{tag}_i_sa": est[:, 0], f"{tag}_i_sb": est[:, 1],

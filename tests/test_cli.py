@@ -375,6 +375,76 @@ def test_sweep_degenerate_grid_exit_2(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("driveobs: ")
+    assert "Traceback" not in err
+    return err
+
+
+def test_sweep_out_under_regular_file_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "regfile"
+    blocker.write_text("")
+    rc = main(["sweep", "--config", str(bundled_config_path("sweep_line.json")),
+               "--out", str(blocker / "sub")])
+    assert rc == 2
+    assert "cannot create output directory" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("kind, sweep", [
+    ("im", {"omega_e": {"min": -1.0, "max": 1.0, "n": 2.5}}),
+    ("im", {"omega_e": {"min": -1.0, "max": 1.0, "n": "3"}}),
+    ("im", {"omega_e": {"min": -1.0, "max": 1.0, "n": False}}),
+    ("im", {"T_m": {"min": "a", "max": 1.0, "n": 3}}),
+    ("im", {"T_m": {"min": -1.0, "max": float("nan"), "n": 3}}),
+    ("im", {"psi_rd": "0.05"}),
+    ("im", {"psi_rd": float("inf")}),
+    ("im", {"threshold": True}),
+    ("syrm", {"omega": "x"}),
+    ("wrsm", {"i_f": None}),
+])
+def test_sweep_rejects_malformed_values(tmp_path, capsys, kind, sweep):
+    axes = ("omega_e", "T_m") if kind == "im" else ("i_d", "i_q")
+    block = {a: {"min": -1.0, "max": 1.0, "n": 3} for a in axes}
+    cfg = write_cfg(tmp_path, {"schema": CONFIG_SCHEMA,
+                               "machine": {"kind": kind},
+                               "sweep": {**block, **sweep}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "sweep.csv").exists()
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command, where, key, value", [
+    ("check", "params", "R_s", "0.1"),
+    ("check", "params", "R_s", True),
+    ("check", "params", "p", 2.5),
+    ("check", "check", "omega", "x"),
+    ("simulate", "params", "L_f", None),
+    ("simulate", "scenario", "noise_std", "x"),
+    ("simulate", "scenario", "t_end", False),
+    ("simulate", "scenario", "seed", 1.5),
+    ("simulate", "scenario", "seed", "7"),
+])
+def test_wrongly_typed_values_exit_2(tmp_path, capsys, monkeypatch, command,
+                                     where, key, value):
+    def no_run(scenario):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli, "run_wrsm_scenario", no_run)
+    if command == "check":
+        cfg = sm_check_cfg(100.0)
+    else:
+        cfg = short_wrsm_cfg()
+    block = cfg["machine"].setdefault("params", {}) if where == "params" \
+        else cfg[where]
+    block[key] = value
+    argv = [command, "--config", write_cfg(tmp_path, cfg)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert key in assert_one_line_error(capsys)
+
+
 # ---------------------------------------------------------------------------
 # entry point
 

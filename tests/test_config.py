@@ -78,6 +78,30 @@ def test_sweep_degenerate_grid_rejected():
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("axis_spec, message", [
+    ({"min": -1.0, "max": 1.0, "n": 2.5}, "integer"),
+    ({"min": -1.0, "max": 1.0, "n": "3"}, "integer"),
+    ({"min": -1.0, "max": 1.0, "n": True}, "integer"),
+    ({"min": -1.0, "max": 1.0, "n": 0}, "integer"),
+    ({"min": "-1", "max": 1.0, "n": 3}, "finite number"),
+    ({"min": -1.0, "max": float("inf"), "n": 3}, "finite number"),
+    ({"min": False, "max": 1.0, "n": 3}, "finite number"),
+])
+def test_sweep_axis_types_rejected(axis_spec, message):
+    cfg = minimal(kind="im", sweep={
+        "omega_e": axis_spec, "T_m": {"min": -1.0, "max": 1.0, "n": 5}})
+    with pytest.raises(ConfigError, match=message):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("kind", ["wrsm", "im"])
+def test_scenario_seed_may_be_null(kind):
+    # the type comes from the defaults of both scenarios: None and 1234
+    cfg = minimal(kind=kind, scenario={"type": kind, "seed": None})
+    validate_config(cfg)
+    assert scenario_from_config(cfg).seed is None
+
+
 def test_scenario_from_config_builds_defaults():
     cfg = load_bundled_config("wrsm_standstill.json")
     sc = scenario_from_config(cfg)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from driveobs.lie import (DimensionMismatchError, ROW_SPECS,
+from driveobs.lie import (DimensionMismatchError, ROW_SPECS, fd_jacobian,
                           lie_output_derivative,
                           machine_observability_matrix,
                           numeric_observability_matrix)
@@ -181,3 +181,17 @@ def test_im_sensorless_second_derivative_rows():
                           (res.matrix[5], expected6)):
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(row - expected)) < 1e-5 * scale
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_fd_jacobian_never_evaluates_the_centre(order):
+    A = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, 1.0]])
+    z0 = np.array([0.3, -1.2, 2.0])
+
+    def fun(z):
+        if np.array_equal(z, z0):
+            raise AssertionError("evaluated at the centre")
+        return A @ z
+
+    assert np.allclose(fd_jacobian(fun, z0, order=order), A, rtol=1e-8,
+                       atol=1e-8)

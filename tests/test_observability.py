@@ -316,6 +316,104 @@ def test_im_zero_set_matches_oracle_rank():
 
 
 # ---------------------------------------------------------------------------
+# closed forms on arrays
+
+
+def assert_pointwise(on_arrays, at_points):
+    """An array evaluation against the evaluations at each point: NaN at
+    the same elements, the rest equal up to the rounding of a float square
+    (``pow``) against an array square (a product)."""
+    at_points = np.asarray(at_points, float)
+    assert np.shape(on_arrays) == at_points.shape
+    nan = np.isnan(at_points)
+    assert np.array_equal(np.isnan(on_arrays), nan)
+    scale = np.max(np.abs(at_points[~nan]), initial=0.0)
+    assert np.all(np.abs(on_arrays[~nan] - at_points[~nan]) <= 1e-14 * scale)
+
+
+def points(*columns):
+    """The columns split into points of Python floats."""
+    return list(zip(*(np.asarray(c, float).tolist() for c in columns)))
+
+
+@pytest.mark.parametrize("params", [WRSM_DEFAULT, HESM_DEFAULT, IPMSM_DEFAULT,
+                                    SPMSM_DEFAULT, SYRM_DEFAULT])
+def test_sm_closed_forms_on_arrays(params):
+    n = 200
+    w, i_sd, i_sq, i_f = RNG.normal(0, 100, n), *RNG.normal(0, 10, (3, n))
+    di_sd, di_sq, di_f = RNG.normal(0, 1e3, (3, n))
+    i_sd[:3] = i_sq[:3] = i_f[:3] = 0.0   # zero currents
+    i_sq[3:6] = 0.0                       # zero q current alone
+    field = SynchronousMachine(params).has_field
+    pts = [dict(i_sd=a, i_sq=b, i_f=c if field else None, di_sd=d, di_sq=e,
+                di_f=g)
+           for a, b, c, d, e, g in points(i_sd, i_sq, i_f, di_sd, di_sq, di_f)]
+    if not field:
+        i_f = None
+
+    det = sm_determinant(params, w, i_sd, i_sq, i_f, di_sd, di_sq, di_f)
+    assert_pointwise(det, [sm_determinant(params, wk, **pt)
+                           for wk, pt in zip(w.tolist(), pts)])
+    omega_o = sm_omega_o(params, i_sd, i_sq, i_f, di_sd, di_sq, di_f)
+    assert_pointwise(omega_o, [sm_omega_o(params, **pt) for pt in pts])
+    ratio = sm_condition_ratio(params, i_sd, i_sq, i_f)
+    assert_pointwise(ratio, [sm_condition_ratio(params, pt["i_sd"],
+                                                pt["i_sq"], pt["i_f"])
+                             for pt in pts])
+    # the ratio is exactly 1 where only i_sq vanishes
+    assert np.all(ratio[3:6] == 1.0)
+    # without a magnet, zero currents leave a zero vector: no velocity and
+    # no ratio there (psi_od = i_sq = 0)
+    zero_vector = getattr(params, "psi_r", 0.0) == 0.0
+    assert np.all(np.isnan(omega_o[:3]) == zero_vector)
+    assert np.all(np.isnan(ratio[:3]) == zero_vector)
+    assert not np.any(np.isnan(ratio[3:]))
+
+
+def test_flux_angular_velocity_on_arrays():
+    psi, dpsi = RNG.normal(0, 0.05, (2, 100)), RNG.normal(0, 5, (2, 100))
+    psi[:, :2] = 0.0
+    ws = flux_angular_velocity(psi, dpsi)
+    assert_pointwise(ws, [flux_angular_velocity(p[:2], p[2:])
+                          for p in points(*psi, *dpsi)])
+    assert np.all(np.isnan(ws[:2])) and not np.any(np.isnan(ws[2:]))
+
+
+def test_im_closed_forms_on_arrays():
+    p = IM_DEFAULT
+    X = RNG.normal(0, 1, (6, 200)) * np.array(
+        [2e-3, 2e-3, 0.05, 0.05, 100, 5])[:, None]
+    X[2:4, :2] = 0.0
+    Xdot = InductionMachine(p).f(X, RNG.normal(0, 1, 2))
+    for mode in ("with_speed", "sensorless"):
+        assert_pointwise(im_determinant(p, mode, X, Xdot),
+                         [im_determinant(p, mode, x[:6], x[6:])
+                          for x in points(*X, *Xdot)])
+    assert_pointwise(im_condition(p, X[4], Xdot[4], X[0] * 1e4),
+                     [im_condition(p, a, b, c)
+                      for a, b, c in points(X[4], Xdot[4], X[0] * 1e4)])
+    T_m, psi_rd = RNG.normal(0, 10, 200), RNG.uniform(0.01, 0.1, 200)
+    assert_pointwise(slip_frequency(p, T_m, psi_rd),
+                     [slip_frequency(p, a, b) for a, b in points(T_m, psi_rd)])
+    assert_pointwise(im_steady_determinant(p, X[4], T_m, psi_rd),
+                     [im_steady_determinant(p, a, b, c)
+                      for a, b, c in points(X[4], T_m, psi_rd)])
+    # one flux for the whole grid, as the sweep uses it
+    assert_pointwise(im_steady_determinant(p, X[4], T_m, 0.05),
+                     [im_steady_determinant(p, a, b, 0.05)
+                      for a, b in points(X[4], T_m)])
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.01, 1e-300])
+def test_slip_frequency_rejects_any_degenerate_flux(bad):
+    psi_rd = np.array([0.05, bad, 0.02])
+    with pytest.raises(DegenerateFluxError):
+        slip_frequency(IM_DEFAULT, np.ones(3), psi_rd)
+    with pytest.raises(DegenerateFluxError):
+        slip_frequency(IM_DEFAULT, 1.0, bad)
+
+
+# ---------------------------------------------------------------------------
 # DC machines
 
 

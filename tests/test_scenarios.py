@@ -6,13 +6,17 @@ import math
 
 import numpy as np
 
-from driveobs.profiles import SignalProfile
+from driveobs.observability import (im_condition, im_determinant,
+                                    slip_frequency, sm_condition_ratio,
+                                    sm_determinant)
+from driveobs.profiles import Segment, SignalProfile
 from driveobs.scenarios import (ImScenario, WrsmScenario,
                                 default_field_setpoint_profile,
                                 im_rates, im_rates_unscaled, run_im_scenario,
                                 run_im_truth, run_wrsm_scenario,
                                 wrsm_current_rates)
-from driveobs.machines import J2, InductionMachine, make_machine
+from driveobs.machines import (J2, InductionMachine, SynchronousMachine,
+                               make_machine)
 from driveobs.params import IM_DEFAULT, WRSM_DEFAULT
 
 RNG = np.random.default_rng(9)
@@ -312,3 +316,90 @@ def test_im_covariance_health_checks_both_filters(monkeypatch):
     monkeypatch.setattr(scenarios, "ekf_update", indefinite_with_speed)
     trace = run_im_scenario(short_im_scenario(0.02))
     assert trace.meta["ekf_p_min_eig_ratio"] < 0
+
+
+# ---------------------------------------------------------------------------
+# closed-form channels: the column evaluation against the point functions
+
+
+def sampled_rows(trace, count=50):
+    return np.unique(np.linspace(0, len(trace.t) - 1, count).astype(int))
+
+
+def assert_channel(trace, name, expected, rows, rtol):
+    """Column ``name`` at ``rows`` against the point values: NaN at the same
+    rows, the rest within ``rtol`` of the column's largest magnitude."""
+    col, expected = trace[name][rows], np.asarray(expected)
+    assert np.array_equal(np.isnan(col), np.isnan(expected)), name
+    scale = np.nanmax(np.abs(trace[name]))
+    ok = ~np.isnan(expected)
+    assert np.all(np.abs(col[ok] - expected[ok]) <= rtol * scale), name
+
+
+def test_wrsm_channels_match_point_closed_forms():
+    t_end = 0.3
+    sc = WrsmScenario(
+        t_end=t_end, run_ekf=False,
+        speed_profile=SignalProfile((Segment.ramp(0.0, t_end, 0.0, 50.0),)),
+        i_f_profile=default_field_setpoint_profile(t_end,
+                                                   windows=((0.1, 0.2),)),
+        injection_windows=((0.1, 0.2),))
+    trace = run_wrsm_scenario(sc)
+    p, c = sc.params, trace.columns
+    rates = SynchronousMachine(p).rates
+    rows = sampled_rows(trace)
+    det, ratio = [], []
+    for k in rows:
+        t, w, ia, ib, i_f, i_d, i_q, va, vb, vf = (
+            c[n][k].item() for n in ("t", "omega", "i_sa", "i_sb", "i_f",
+                                     "i_sd", "i_sq", "v_sa", "v_sb", "v_f"))
+        th = sc.speed_profile.integral(t)   # the plant's unwrapped angle
+        c1, s1 = math.cos(th), math.sin(th)
+        dia, dib, dif = rates(ia, ib, i_f, w, c1, s1, va, vb, vf)
+        did = (c1 * dia + s1 * dib) + w * i_q
+        diq = (-s1 * dia + c1 * dib) - w * i_d
+        det.append(sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif))
+        ratio.append(sm_condition_ratio(p, i_d, i_q, i_f))
+    # float squares round through pow, array squares are exact products
+    assert_channel(trace, "det_sm", det, rows, 1e-14)
+    assert_channel(trace, "ratio", ratio, rows, 1e-14)
+
+
+def test_im_channels_match_point_closed_forms():
+    sc = short_im_scenario(0.05, noise_std=0.0)
+    trace = run_im_scenario(sc)
+    p, c = sc.params, trace.columns
+    L_sig, kr = p.L_sigma, p.k_r
+    rates = im_rates(p)
+    rows = sampled_rows(trace)
+    expected = {n: [] for n in ("omega_s_cmd", "T_m", "psi_rd", "im_cond",
+                                "det_with_speed", "det_sensorless",
+                                "line_distance", "spd_flux_err",
+                                "sl_flux_err")}
+    for k in rows:
+        # the scaled state the scenario integrates
+        x = [c["i_sa"][k] * L_sig, c["i_sb"][k] * L_sig,
+             c["psi_ra"][k] * kr, c["psi_rb"][k] * kr,
+             c["omega_e"][k], c["T_r"][k]]
+        xdot = rates(*x, c["v_sa"][k], c["v_sb"][k]) + (0.0,)
+        T_m = (p.p / L_sig) * (x[1] * x[2] - x[0] * x[3])
+        psi_rd = math.hypot(x[2], x[3]) / kr
+        expected["omega_s_cmd"].append(sc.freq_profile.value(c["t"][k]))
+        expected["T_m"].append(T_m)
+        expected["psi_rd"].append(psi_rd)
+        expected["im_cond"].append(im_condition(p, x[4], xdot[4],
+                                                c["omega_s"][k]))
+        for mode in ("with_speed", "sensorless"):
+            expected[f"det_{mode}"].append(im_determinant(p, mode, x, xdot))
+        expected["line_distance"].append(
+            x[4] + slip_frequency(p, T_m, psi_rd) if psi_rd > 1e-9
+            else math.nan)
+        for tag in ("spd", "sl"):
+            err = math.hypot(c[f"{tag}_psi_ra"][k] - c["psi_ra"][k],
+                             c[f"{tag}_psi_rb"][k] - c["psi_rb"][k]) * kr
+            expected[f"{tag}_flux_err"].append(
+                err / max(math.hypot(x[2], x[3]), 1e-12))
+    assert math.isnan(expected["line_distance"][0])   # no flux at t = 0
+    # the point values start from the physical trace columns, scaled back
+    for name, values in expected.items():
+        assert_channel(trace, name, values, rows, 1e-12)
