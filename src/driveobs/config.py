@@ -38,15 +38,34 @@ def _require_keys(block: dict, allowed, where: str, required=()):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _list_like(value, default: tuple) -> bool:
+    """Whether a value is a list shaped like a tuple default: as many
+    numbers as a tuple of numbers has, any count of such lists for a tuple
+    of tuples."""
+    if not isinstance(value, list):
+        return False
+    if default and type(default[0]) is tuple:
+        return all(_list_like(v, default[0]) for v in value)
+    return len(value) == len(default) \
+        and all(type(v) in (int, float) for v in value)
+
+
 def _require_numbers(block: dict, defaults: dict, where: str):
     """Reject a value unlike every default of its field (a list per key) if
-    one is a number: an int takes an int, a float any number, None null."""
+    one is a number or a tuple: an int takes an int, a float any number,
+    None null, a tuple a list of its shape (``_list_like``)."""
     for key, value in block.items():
         types = {type(d) for d in defaults.get(key, ())}
         if types & {int, float} and type(value) not in types | {int}:
             raise ConfigError(f"{where}.{key} must have the type of "
                               f"{' or '.join(map(repr, defaults[key]))}, "
                               f"got {value!r}")
+        for d in defaults.get(key, ()):
+            if type(d) is tuple and not _list_like(value, d):
+                shape = f"lists of {len(d[0])} numbers" \
+                    if type(d[0]) is tuple else f"{len(d)} numbers"
+                raise ConfigError(f"{where}.{key} must be a list of {shape}, "
+                                  f"got {value!r}")
 
 
 def _require_finite(block: dict, keys, where: str):
@@ -58,11 +77,18 @@ def _require_finite(block: dict, keys, where: str):
 
 
 def _segments_from_json(items, where: str) -> SignalProfile:
+    if not isinstance(items, list):
+        raise ConfigError(f"{where} must be a list of segments, got {items!r}")
     segs = []
     for i, item in enumerate(items):
         _require_keys(item, ("kind", "t0", "t1", "value", "v0", "v1",
                              "offset", "terms"), f"{where}[{i}]",
                       required=("kind", "t0", "t1"))
+        _require_finite(item, sorted(set(item) - {"kind", "terms"}),
+                        f"{where}[{i}]")
+        if not _list_like(item.get("terms", []), ((0.0, 0.0, 0.0),)):
+            raise ConfigError(f"{where}[{i}].terms must be a list of "
+                              "[amplitude, omega, phase] lists of numbers")
         kind = item["kind"]
         try:
             if kind == "constant":

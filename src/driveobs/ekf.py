@@ -1,9 +1,10 @@
 """Discrete-time extended Kalman filter, generic over the machine models.
 
 Values in, values out: every step returns a new instance, so filters can be
-advanced independently on any thread. Prediction uses an explicit first-order
-discretization of the dynamics and of the state Jacobian; the covariance
-update uses the symmetry-preserving (Joseph) form.
+advanced independently on any thread; ``predict`` and ``update`` take and
+return plain arrays, and the instance functions wrap them. Prediction uses an
+explicit first-order discretization of the dynamics and of the state
+Jacobian; the covariance update uses the symmetry-preserving (Joseph) form.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class EkfInstance:
     machine: object
     outputs: np.ndarray
 
-    @property
-    def Ts(self) -> float:
-        return self.config.Ts
-
 
 def make_ekf(machine, config: EkfConfig,
              speed_measured: bool = False) -> EkfInstance:
@@ -107,38 +104,31 @@ def linearize(f, x, u, rel_step: float = 1e-6):
     return F[:, 0], (F[:, 1:n + 1] - F[:, n + 1:]) / (2.0 * h[None, :])
 
 
-def _check_overflow(inst: EkfInstance):
-    bound = inst.config.overflow
-    if not np.all(np.isfinite(inst.x)) or np.abs(inst.x).max() > bound \
-            or np.abs(inst.P).max() > bound:
+def _check_overflow(x, P, bound: float):
+    # a NaN fails the comparison as well as an entry past the bound
+    if not (np.abs(x).max() <= bound and np.abs(P).max() <= bound):
         raise EkfDivergenceError(
             "estimate or covariance exceeded the overflow bound "
             f"({bound:g}); filter diverged")
 
 
-def ekf_predict(inst: EkfInstance, u) -> EkfInstance:
-    """Propagate estimate and covariance one sample ahead."""
-    Ts = inst.Ts
-    rate, A = linearize(inst.machine.f, inst.x, u)
-    x_next = inst.x + Ts * rate
-    F = np.eye(inst.x.size) + Ts * A
-    P_next = F @ inst.P @ F.T + inst.config.Q
-    P_next = 0.5 * (P_next + P_next.T)
-    out = replace(inst, x=x_next, P=P_next)
-    _check_overflow(out)
-    return out
+def predict(f, x, P, u, Ts: float, Q, eye, bound: float):
+    """Propagate ``(x, P)`` one sample ``Ts`` ahead under the rate ``f``;
+    ``eye`` is the identity of the state size."""
+    rate, A = linearize(f, x, u)
+    F = eye + Ts * A
+    P = F @ P @ F.T + Q
+    x, P = x + Ts * rate, 0.5 * (P + P.T)
+    _check_overflow(x, P, bound)
+    return x, P
 
 
-def ekf_update(inst: EkfInstance, y) -> Tuple[EkfInstance, np.ndarray]:
-    """Correct the estimate with a measurement; returns (instance, innovation).
-
-    The output map selects states, so ``C P C^T``, ``P C^T`` and ``K C``
-    are slices of ``P`` and ``K``.
-    """
-    idx = inst.outputs
-    P, R = inst.P, inst.config.R
-    innovation = np.asarray(y, float) - inst.x[idx]
-    S = P[np.ix_(idx, idx)] + R
+def update(x, P, y, idx, ix, R, eye, bound: float):
+    """Correct ``(x, P)`` with a measurement of the states ``idx``; returns
+    ``(x, P, innovation)``. ``ix`` is ``np.ix_(idx, idx)``: the output map
+    selects states, so ``C P C^T``, ``P C^T`` and ``K C`` are slices."""
+    innovation = np.asarray(y, float) - x[idx]
+    S = P[ix] + R
     S = 0.5 * (S + S.T)
     try:
         np.linalg.cholesky(S)
@@ -146,14 +136,29 @@ def ekf_update(inst: EkfInstance, y) -> Tuple[EkfInstance, np.ndarray]:
         raise SingularInnovationError(
             "innovation covariance not positive definite") from None
     K = np.linalg.solve(S, P[:, idx].T).T
-    x_next = inst.x + K @ innovation
-    IKC = np.eye(inst.x.size)
+    IKC = eye.copy()
     IKC[:, idx] -= K
-    P_next = IKC @ P @ IKC.T + K @ R @ K.T
-    P_next = 0.5 * (P_next + P_next.T)
-    out = replace(inst, x=x_next, P=P_next)
-    _check_overflow(out)
-    return out, innovation
+    P = IKC @ P @ IKC.T + K @ R @ K.T
+    x, P = x + K @ innovation, 0.5 * (P + P.T)
+    _check_overflow(x, P, bound)
+    return x, P, innovation
+
+
+def ekf_predict(inst: EkfInstance, u) -> EkfInstance:
+    """Propagate estimate and covariance one sample ahead."""
+    cfg = inst.config
+    x, P = predict(inst.machine.f, inst.x, inst.P, u, cfg.Ts, cfg.Q,
+                   np.eye(inst.x.size), cfg.overflow)
+    return replace(inst, x=x, P=P)
+
+
+def ekf_update(inst: EkfInstance, y) -> Tuple[EkfInstance, np.ndarray]:
+    """Correct the estimate with a measurement; returns (instance,
+    innovation)."""
+    idx, cfg = inst.outputs, inst.config
+    x, P, innovation = update(inst.x, inst.P, y, idx, np.ix_(idx, idx),
+                              cfg.R, np.eye(inst.x.size), cfg.overflow)
+    return replace(inst, x=x, P=P), innovation
 
 
 def ekf_step(inst: EkfInstance, u, y) -> Tuple[EkfInstance, np.ndarray]:

@@ -58,7 +58,8 @@ def dq_derivative(d_ab, i_dq, omega: float, theta: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # rate kernels: plain arithmetic, so the arguments may be Python floats or
-# numpy rows (one column per state)
+# numpy rows (one column per state); each ``f`` passes its inputs ``u`` on as
+# given, so float inputs stay Python floats
 
 
 def sm_current_rates(params, has_field: bool, psi_r: float):
@@ -247,8 +248,7 @@ class SynchronousMachine:
         x = np.asarray(x, float)
         k = self.n_currents
         w, th = x[k], x[k + 1]
-        dI = self.rates(*x[:k], w, np.cos(th), np.sin(th),
-                        *np.asarray(u, float))
+        dI = self.rates(*x[:k], w, np.cos(th), np.sin(th), *u)
         return np.array(dI + (np.zeros_like(w), w))
 
     def output_indices(self, speed_measured: bool = False):
@@ -277,7 +277,7 @@ class InductionMachine:
     def f(self, x, u):
         """State derivative. ``x`` may be a single state (n,) or batched (n, m)."""
         x = np.asarray(x, float)
-        dx = self.rates(*x, *np.asarray(u, float))
+        dx = self.rates(*x, *u)
         return np.array(dx + (np.zeros_like(x[5]),))
 
     @property

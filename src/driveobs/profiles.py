@@ -7,6 +7,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 
 class ProfileDomainError(ValueError):
     """Requested time lies outside the profile's definition interval."""
@@ -52,18 +54,21 @@ class Segment:
         return cls(t0=t0, t1=t1, kind="sine", offset=offset,
                    terms=tuple(terms))
 
-    def value_at(self, t: float) -> float:
+    # ``t`` is a float (math's sine and cosine) or an array (numpy's, which
+    # gave the same bits on the hosts measured)
+    def value_at(self, t):
         if self.kind == "constant":
             return self.value
         if self.kind == "ramp":
             frac = (t - self.t0) / (self.t1 - self.t0)
             return self.v0 + (self.v1 - self.v0) * frac
+        sin = np.sin if isinstance(t, np.ndarray) else math.sin
         out = self.offset
         for amp, omega, phase in self.terms:
-            out += amp * math.sin(omega * t + phase)
+            out += amp * sin(omega * t + phase)
         return out
 
-    def integral_to(self, t: float) -> float:
+    def integral_to(self, t):
         """Integral of the segment value from t0 to t (t within the segment)."""
         dt = t - self.t0
         if self.kind == "constant":
@@ -71,21 +76,23 @@ class Segment:
         if self.kind == "ramp":
             vt = self.value_at(t)
             return 0.5 * (self.v0 + vt) * dt
+        cos = np.cos if isinstance(t, np.ndarray) else math.cos
         out = self.offset * dt
         for amp, omega, phase in self.terms:
             if omega == 0.0:
                 out += amp * math.sin(phase) * dt
             else:
                 out += (amp / omega) * (math.cos(omega * self.t0 + phase)
-                                        - math.cos(omega * t + phase))
+                                        - cos(omega * t + phase))
         return out
 
-    def derivative_at(self, t: float) -> float:
+    def derivative_at(self, t):
         if self.kind == "constant":
             return 0.0
         if self.kind == "ramp":
             return (self.v1 - self.v0) / (self.t1 - self.t0)
-        return sum(amp * omega * math.cos(omega * t + phase)
+        cos = np.cos if isinstance(t, np.ndarray) else math.cos
+        return sum(amp * omega * cos(omega * t + phase)
                    for amp, omega, phase in self.terms)
 
 
@@ -119,7 +126,7 @@ class SignalProfile:
         return self.segments[-1].t1
 
     def _segment_index(self, t: float) -> int:
-        if t < self.start - 1e-12 or t > self.end + 1e-12:
+        if not self.start - 1e-12 <= t <= self.end + 1e-12:
             raise ProfileDomainError(
                 f"t = {t:g} outside profile domain [{self.start:g}, {self.end:g}]")
         i = bisect_right(self._starts, t) - 1
@@ -136,6 +143,23 @@ class SignalProfile:
     def derivative(self, t: float) -> float:
         """Piecewise signal rate (one-sided at segment joins)."""
         return self.segments[self._segment_index(t)].derivative_at(t)
+
+    def sample(self, t: np.ndarray):
+        """``(value, integral, derivative)`` at each time of an array, equal
+        to the scalar methods at each time."""
+        t = np.asarray(t, float)
+        if t.size:    # the domain check of the scalar lookups
+            self._segment_index(t.min()), self._segment_index(t.max())
+        seg = np.searchsorted(self._starts, t, side="right") - 1
+        seg = np.clip(seg, 0, len(self.segments) - 1)
+        value, integral, rate = (np.empty_like(t) for _ in range(3))
+        for i in set(seg.tolist()):    # np.unique would import numpy.ma
+            at = seg == i
+            ts, s = t[at], self.segments[i]
+            value[at] = s.value_at(ts)
+            integral[at] = self._cum[i] + s.integral_to(ts)
+            rate[at] = s.derivative_at(ts)
+        return value, integral, rate
 
     @classmethod
     def constant(cls, t0, t1, value) -> "SignalProfile":

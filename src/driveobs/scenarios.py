@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ekf import EkfConfig, ekf_predict, ekf_update, make_ekf
+from .ekf import EkfConfig, make_ekf, predict, update
 from .machines import (InductionMachine, SynchronousMachine, im_rates,
                        im_rates_unscaled, park, wrap_angle)
 from .observability import (OBS_THRESHOLD_DEFAULT, im_condition,
@@ -45,11 +45,14 @@ def _grid(sc) -> Tuple[int, int, int]:
     return n_steps, n_sub, n_steps // n_sub + 1
 
 
-def _check_scenario(sc, profiles: dict):
+def _check_scenario(sc, profiles: dict, noise: tuple):
     _grid(sc)
     for name, prof in profiles.items():
         if prof.start > 0.0 or prof.end < sc.t_end - 1e-9:
             raise ValueError(f"{name} must cover [0, t_end]")
+    for name in noise:    # the filters' covariance diagonals
+        if not np.min(getattr(sc, name)) > 0:
+            raise ValueError(f"{name} must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +94,8 @@ class WrsmScenario:
             self.i_f_profile = default_field_setpoint_profile(
                 self.t_end, windows=self.injection_windows)
         _check_scenario(self, {"speed_profile": self.speed_profile,
-                               "i_f_profile": self.i_f_profile})
+                               "i_f_profile": self.i_f_profile},
+                        ("ekf_q_diag", "ekf_r_diag", "ekf_p0_diag"))
 
 
 def default_wrsm_speed_profile(t_end: float = 6.0) -> SignalProfile:
@@ -157,11 +161,9 @@ class ImScenario:
         if self.load_profile is None:
             self.load_profile = default_im_load_profile(self.t_end)
         _check_scenario(self, {"freq_profile": self.freq_profile,
-                               "load_profile": self.load_profile})
-
-    def voltage_amplitude(self, omega_s_cmd: float) -> float:
-        frac = min(abs(omega_s_cmd) / self.omega_rated, 1.0)
-        return self.v_floor + (self.v_rated - self.v_floor) * frac
+                               "load_profile": self.load_profile},
+                        ("ekf_q_diag_phys", "ekf_r_current_phys",
+                         "ekf_r_speed", "ekf_p0_phys"))
 
 
 def default_im_frequency_profile(t_end: float = 8.5,
@@ -189,7 +191,24 @@ def default_im_load_profile(t_end: float = 8.5) -> SignalProfile:
 
 
 # ---------------------------------------------------------------------------
-# plant kernels
+# plant kernels and input sampling
+
+# integration steps whose profile inputs are sampled at once; the loops read
+# each chunk's samples from Python lists, which stay small
+CHUNK = 1024
+
+
+def _chunks(n_steps: int, dt: float):
+    """Steps ``0 .. n_steps`` by chunk: the first step, the step times and
+    the RK4 stage times ``t + dt/2``, ``t + dt`` of all but the last step."""
+    for c0 in range(0, n_steps + 1, CHUNK):
+        t = np.arange(c0, min(c0 + CHUNK, n_steps + 1)) * dt
+        stages = t[:n_steps - c0]
+        yield c0, t, stages + 0.5 * dt, stages + dt
+
+
+def _lists(*arrays):
+    return [a.tolist() for a in arrays]
 
 
 def wrsm_current_rates(p: WrsmParams):
@@ -211,14 +230,13 @@ def _integrate_im(sc: ImScenario, scaled: bool):
     """
     dt = sc.dt_sim
     n_steps, n_sub, n_trace = _grid(sc)
-    freq, load = sc.freq_profile, sc.load_profile
     rates = im_rates(sc.params) if scaled else im_rates_unscaled(sc.params)
 
-    def voltage(t):
-        w_cmd = freq.value(t)
-        phase = freq.integral(t)
-        amp = sc.voltage_amplitude(w_cmd)
-        return amp * math.cos(phase), amp * math.sin(phase)
+    def voltages(t):    # volts per hertz above a floor
+        w_cmd, phase, _ = sc.freq_profile.sample(t)
+        amp = sc.v_floor + (sc.v_rated - sc.v_floor) * np.minimum(
+            np.abs(w_cmd) / sc.omega_rated, 1.0)
+        return _lists(w_cmd, amp * np.cos(phase), amp * np.sin(phase))
 
     times = np.zeros(n_trace)
     X = np.zeros((n_trace, 6))
@@ -229,45 +247,48 @@ def _integrate_im(sc: ImScenario, scaled: bool):
     omega_s_filt = 0.0
     alpha = dt / (sc.omega_s_filter_tau + dt)
     ia = ib = pa = pb = we = 0.0
-    for s in range(n_steps + 1):
-        t = s * dt
-        Tr = load.value(t)
-        va, vb = voltage(t)
+    for c0, t_c, tm_c, t2_c in _chunks(n_steps, dt):
+        load = sc.load_profile.sample(t_c)[0].tolist()
+        w_cmds, va_c, vb_c = voltages(t_c)
+        _, va_m, vb_m = voltages(tm_c)
+        _, va_2, vb_2 = voltages(t2_c)
+        for j, t in enumerate(t_c.tolist()):
+            s = c0 + j
+            Tr, va, vb = load[j], va_c[j], vb_c[j]
 
-        if ang_prev is not None or (pa, pb) != (0.0, 0.0):
-            ang = math.atan2(pb, pa)
-            if ang_prev is not None:
-                delta = ang - ang_prev
-                delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
-                omega_s_filt += alpha * (delta / dt - omega_s_filt)
-            ang_prev = ang
+            if ang_prev is not None or (pa, pb) != (0.0, 0.0):
+                ang = math.atan2(pb, pa)
+                if ang_prev is not None:
+                    delta = ang - ang_prev
+                    delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
+                    omega_s_filt += alpha * (delta / dt - omega_s_filt)
+                ang_prev = ang
 
-        if s % n_sub == 0:
-            k = s // n_sub
-            times[k] = t
-            X[k] = ia, ib, pa, pb, we, Tr
-            V[k] = va, vb
-            omega_s_cmd[k] = freq.value(t)
-            omega_s[k] = omega_s_filt
+            if s % n_sub == 0:
+                k = s // n_sub
+                times[k] = t
+                X[k] = ia, ib, pa, pb, we, Tr
+                V[k] = va, vb
+                omega_s_cmd[k] = w_cmds[j]
+                omega_s[k] = omega_s_filt
 
-        if s < n_steps:
-            h = dt
-            vam, vbm = voltage(t + 0.5 * h)
-            va2, vb2 = voltage(t + h)
-            k1 = rates(ia, ib, pa, pb, we, Tr, va, vb)
-            k2 = rates(ia + 0.5 * h * k1[0], ib + 0.5 * h * k1[1],
-                       pa + 0.5 * h * k1[2], pb + 0.5 * h * k1[3],
-                       we + 0.5 * h * k1[4], Tr, vam, vbm)
-            k3 = rates(ia + 0.5 * h * k2[0], ib + 0.5 * h * k2[1],
-                       pa + 0.5 * h * k2[2], pb + 0.5 * h * k2[3],
-                       we + 0.5 * h * k2[4], Tr, vam, vbm)
-            k4 = rates(ia + h * k3[0], ib + h * k3[1], pa + h * k3[2],
-                       pb + h * k3[3], we + h * k3[4], Tr, va2, vb2)
-            ia += (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            ib += (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            pa += (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            pb += (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            we += (h / 6.0) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
+            if s < n_steps:
+                h = dt
+                vam, vbm, va2, vb2 = va_m[j], vb_m[j], va_2[j], vb_2[j]
+                k1 = rates(ia, ib, pa, pb, we, Tr, va, vb)
+                k2 = rates(ia + 0.5 * h * k1[0], ib + 0.5 * h * k1[1],
+                           pa + 0.5 * h * k1[2], pb + 0.5 * h * k1[3],
+                           we + 0.5 * h * k1[4], Tr, vam, vbm)
+                k3 = rates(ia + 0.5 * h * k2[0], ib + 0.5 * h * k2[1],
+                           pa + 0.5 * h * k2[2], pb + 0.5 * h * k2[3],
+                           we + 0.5 * h * k2[4], Tr, vam, vbm)
+                k4 = rates(ia + h * k3[0], ib + h * k3[1], pa + h * k3[2],
+                           pb + h * k3[3], we + h * k3[4], Tr, va2, vb2)
+                ia += (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+                ib += (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+                pa += (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+                pb += (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+                we += (h / 6.0) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
     return times, X, V, omega_s_cmd, omega_s
 
 
@@ -313,18 +334,22 @@ def _run_filter(inst, U: np.ndarray, Y: np.ndarray):
     estimate, NaN innovations) and the covariance health ``(steps,
     max |P - P^T|, min eigenvalue ratio checked every 100 of its steps)``.
     """
+    f, idx, cfg = inst.machine.f, inst.outputs, inst.config
+    Ts, Q, R, bound = cfg.Ts, cfg.Q, cfg.R, cfg.overflow
+    ix, eye = np.ix_(idx, idx), np.eye(inst.x.size)
+    x, P = inst.x, inst.P
     n = len(Y)
-    est = np.empty((n, inst.x.size))
+    est = np.empty((n, x.size))
     innov = np.full(Y.shape, math.nan)
-    est[0] = inst.x
+    est[0] = x
     asym, eig_ratio = 0.0, math.inf
     for k in range(1, n):
-        inst = ekf_predict(inst, U[k - 1])
-        inst, innov[k] = ekf_update(inst, Y[k])
-        est[k] = inst.x
-        asym = max(asym, np.abs(inst.P - inst.P.T).max())
+        x, P = predict(f, x, P, U[k - 1].tolist(), Ts, Q, eye, bound)
+        x, P, innov[k] = update(x, P, Y[k], idx, ix, R, eye, bound)
+        est[k] = x
+        asym = max(asym, np.abs(P - P.T).max())
         if k % 100 == 0:
-            eig = np.linalg.eigvalsh(inst.P)
+            eig = np.linalg.eigvalsh(P)
             eig_ratio = min(eig_ratio, eig[0] / max(eig[-1], 1e-300))
     return est, innov, (n - 1, asym, eig_ratio)
 
@@ -404,61 +429,61 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     LD, Mf = p.L_delta, p.M_f
     rows = np.zeros((n_trace, len(_WRSM_PLANT)))
 
-    for s in range(n_steps + 1):
-        t = s * dt
-        w = speed.value(t)
-        th = speed.integral(t)
-        c1, s1 = math.cos(th), math.sin(th)
-        i_d = c1 * ia + s1 * ib
-        i_q = -s1 * ia + c1 * ib
+    for c0, t_c, tm_c, t2_c in _chunks(n_steps, dt):
+        (w_c, th_c, _), (w_m, th_m, _), (w_2, th_2, _) = (
+            _lists(*speed.sample(times)) for times in (t_c, tm_c, t2_c))
+        i_f_refs, _, di_f_refs = _lists(*i_f_ref_profile.sample(t_c))
+        for j, t in enumerate(t_c.tolist()):
+            s = c0 + j
+            w, th = w_c[j], th_c[j]
+            c1, s1 = math.cos(th), math.sin(th)
+            i_d = c1 * ia + s1 * ib
+            i_q = -s1 * ia + c1 * ib
 
-        # controller (runs every integration step)
-        i_f_ref = i_f_ref_profile.value(t)
-        v_d = pi_d.update(sc.i_d_ref - i_d, dt)
-        v_q = pi_q.update(sc.i_q_ref - i_q, dt)
-        v_f = pi_f.update(i_f_ref - i_f, dt)
-        if sc.field_feedforward:
-            v_f += p.R_f * i_f_ref + p.L_f * i_f_ref_profile.derivative(t)
-        va = c1 * v_d - s1 * v_q
-        vb = s1 * v_d + c1 * v_q
-        saturated = pi_d.saturated or pi_q.saturated or pi_f.saturated
+            # controller (runs every integration step)
+            i_f_ref = i_f_refs[j]
+            v_d = pi_d.update(sc.i_d_ref - i_d, dt)
+            v_q = pi_q.update(sc.i_q_ref - i_q, dt)
+            v_f = pi_f.update(i_f_ref - i_f, dt)
+            if sc.field_feedforward:
+                v_f += p.R_f * i_f_ref + p.L_f * di_f_refs[j]
+            va = c1 * v_d - s1 * v_q
+            vb = s1 * v_d + c1 * v_q
+            saturated = pi_d.saturated or pi_q.saturated or pi_f.saturated
 
-        # observability-vector angle tracking at the integration rate
-        psi_od = LD * i_d + Mf * i_f
-        psi_oq = sD_LD * i_q
-        th_o = math.nan
-        if psi_od != 0.0 or psi_oq != 0.0:
-            th_o = math.atan2(psi_oq, psi_od)
-            if theta_o_prev is not None:
-                delta = th_o - theta_o_prev
-                delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
-                omega_o_filt += alpha * (delta / dt - omega_o_filt)
-            theta_o_prev = th_o
+            # observability-vector angle tracking at the integration rate
+            psi_od = LD * i_d + Mf * i_f
+            psi_oq = sD_LD * i_q
+            th_o = math.nan
+            if psi_od != 0.0 or psi_oq != 0.0:
+                th_o = math.atan2(psi_oq, psi_od)
+                if theta_o_prev is not None:
+                    delta = th_o - theta_o_prev
+                    delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
+                    omega_o_filt += alpha * (delta / dt - omega_o_filt)
+                theta_o_prev = th_o
 
-        if s % n_sub == 0:
-            rows[s // n_sub] = (t, w, th, ia, ib, i_f, i_d, i_q, va, vb, v_f,
-                                sc.i_d_ref, sc.i_q_ref, i_f_ref,
-                                float(saturated), psi_od, psi_oq, th_o,
-                                omega_o_filt, w - omega_o_filt)
+            if s % n_sub == 0:
+                rows[s // n_sub] = (t, w, th, ia, ib, i_f, i_d, i_q, va, vb,
+                                    v_f, sc.i_d_ref, sc.i_q_ref, i_f_ref,
+                                    float(saturated), psi_od, psi_oq, th_o,
+                                    omega_o_filt, w - omega_o_filt)
 
-        if s < n_steps:
-            # RK4 on the currents; speed and position follow the profile
-            h = dt
-            tm = t + 0.5 * h
-            t2 = t + h
-            wm, thm = speed.value(tm), speed.integral(tm)
-            w2, th2 = speed.value(t2), speed.integral(t2)
-            cm, sm = math.cos(thm), math.sin(thm)
-            k1 = rates(ia, ib, i_f, w, c1, s1, va, vb, v_f)
-            k2 = rates(ia + 0.5 * h * k1[0], ib + 0.5 * h * k1[1],
-                       i_f + 0.5 * h * k1[2], wm, cm, sm, va, vb, v_f)
-            k3 = rates(ia + 0.5 * h * k2[0], ib + 0.5 * h * k2[1],
-                       i_f + 0.5 * h * k2[2], wm, cm, sm, va, vb, v_f)
-            k4 = rates(ia + h * k3[0], ib + h * k3[1], i_f + h * k3[2],
-                       w2, math.cos(th2), math.sin(th2), va, vb, v_f)
-            ia += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            ib += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            i_f += (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+            if s < n_steps:
+                # RK4 on the currents; speed and position follow the profile
+                h = dt
+                wm, thm, w2, th2 = w_m[j], th_m[j], w_2[j], th_2[j]
+                cm, sm = math.cos(thm), math.sin(thm)
+                k1 = rates(ia, ib, i_f, w, c1, s1, va, vb, v_f)
+                k2 = rates(ia + 0.5 * h * k1[0], ib + 0.5 * h * k1[1],
+                           i_f + 0.5 * h * k1[2], wm, cm, sm, va, vb, v_f)
+                k3 = rates(ia + 0.5 * h * k2[0], ib + 0.5 * h * k2[1],
+                           i_f + 0.5 * h * k2[2], wm, cm, sm, va, vb, v_f)
+                k4 = rates(ia + h * k3[0], ib + h * k3[1], i_f + h * k3[2],
+                           w2, math.cos(th2), math.sin(th2), va, vb, v_f)
+                ia += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+                ib += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+                i_f += (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
 
     cols = dict(zip(_WRSM_PLANT, rows.T))
     theta = cols["theta"]

@@ -445,6 +445,43 @@ def test_wrongly_typed_values_exit_2(tmp_path, capsys, monkeypatch, command,
     assert key in assert_one_line_error(capsys)
 
 
+SEGMENT = {"kind": "constant", "t0": 0.0, "t1": 0.3, "value": 0.0}
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("wrsm", "ekf_r_diag", [1.0, 1.0]),
+    ("wrsm", "ekf_r_diag", [1.0, "x", 1.0]),
+    ("wrsm", "ekf_q_diag", 1.0),
+    ("wrsm", "ekf_p0_diag", [0.1, 0.1, 0.1, 10.0, 0.0]),
+    ("wrsm", "speed_profile", 5),
+    ("wrsm", "speed_profile", [{**SEGMENT, "t1": "0.3"}]),
+    ("wrsm", "speed_profile", [{**SEGMENT, "value": "x"}]),
+    ("wrsm", "speed_profile", [{**SEGMENT, "value": float("nan")}]),
+    ("wrsm", "i_f_profile", [{**SEGMENT, "kind": "sine", "offset": 4.0,
+                              "terms": [[0.5, "x", 0.0]]}]),
+    ("wrsm", "i_f_profile", [{**SEGMENT, "kind": "sine", "terms": 0.5}]),
+    ("wrsm", "injection_windows", None),
+    ("wrsm", "injection_windows", [[0.1]]),
+    ("wrsm", "injection_windows", [0.1, 0.2]),
+    ("im", "x0_est_phys", [0.0, 0.0, 0.0]),
+    ("im", "dwell", [0.5, None]),
+    ("im", "ekf_r_speed", -0.25),
+    ("im", "load_profile", {"kind": "constant"}),
+])
+def test_malformed_lists_and_segments_exit_2(tmp_path, capsys, monkeypatch,
+                                             scenario, key, value):
+    def no_run(scenario):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli, f"run_{scenario}_scenario", no_run)
+    cfg = short_wrsm_cfg() if scenario == "wrsm" else short_im_cfg()
+    cfg["scenario"][key] = value
+    argv = ["simulate", "--config", write_cfg(tmp_path, cfg),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert key in assert_one_line_error(capsys)
+
+
 # ---------------------------------------------------------------------------
 # entry point
 

@@ -118,6 +118,16 @@ def test_predict_divergence_error():
         ekf_predict(inst, np.zeros(1))        # P = 3 > bound
 
 
+@pytest.mark.parametrize("field", ["P", "x"])
+def test_predict_nan_is_divergence(field):
+    # a NaN compares false with the bound, so it must fail the check too
+    inst = still_ekf(n=2)
+    arr = getattr(inst, field).copy()
+    arr.flat[1] = np.nan
+    with pytest.raises(EkfDivergenceError):
+        ekf_predict(replace(inst, **{field: arr}), np.zeros(2))
+
+
 # ---------------------------------------------------------------------------
 # update
 

@@ -9,6 +9,7 @@ from driveobs.profiles import (PiController, ProfileDomainError, Segment,
                                SignalProfile)
 
 HF = 2 * math.pi * 1e3
+RNG_T = np.random.default_rng(5)
 
 
 def demo_profile():
@@ -82,6 +83,30 @@ def test_profile_evaluates_monotone_and_bisect_identically():
     ts = np.sort(np.random.default_rng(0).uniform(0.0, 2.5, 300))
     vals = [prof.value(float(t)) for t in ts]
     assert all(np.isfinite(vals))
+
+
+def test_sample_equals_scalar_methods_bit_for_bit():
+    # every kind, a zero-frequency sine term, the joins and the end (with
+    # the domain tolerance), random times and a fine regular grid
+    prof = SignalProfile((
+        Segment.constant(0.0, 1.0, 4.0),
+        Segment.sine(1.0, 1.5, 4.0, ((0.5, HF, 0.3), (0.2, 0.0, 1.0))),
+        Segment.ramp(1.5, 2.5, 0.0, 100.0),
+        Segment.constant(2.5, 3.0, -2.0),
+    ))
+    joins = [s.t0 for s in prof.segments] + [prof.end, prof.end + 5e-13]
+    t = np.concatenate([joins, RNG_T.uniform(0.0, 3.0, 2000),
+                        np.arange(300_001) * 1e-5])
+    for got, scalar in zip(prof.sample(t), (prof.value, prof.integral,
+                                            prof.derivative)):
+        assert np.array_equal(got, [scalar(x) for x in t.tolist()])
+
+
+@pytest.mark.parametrize("t", [[-0.5, 1.0], [1.0, 2.5 + 1e-9],
+                               [1.0, math.nan]])
+def test_sample_out_of_domain(t):
+    with pytest.raises(ProfileDomainError):
+        demo_profile().sample(np.array(t))
 
 
 def test_pi_tracks_and_freezes_when_saturated():

@@ -10,7 +10,9 @@ from driveobs.observability import (im_condition, im_determinant,
                                     slip_frequency, sm_condition_ratio,
                                     sm_determinant)
 from driveobs.profiles import Segment, SignalProfile
-from driveobs.scenarios import (ImScenario, WrsmScenario,
+from driveobs.ekf import EkfConfig, ekf_predict, ekf_update, make_ekf
+from driveobs.scenarios import (CHUNK, ImScenario, WrsmScenario,
+                                _im_ekf_config, _integrate_im, _run_filter,
                                 default_field_setpoint_profile,
                                 im_rates, im_rates_unscaled, run_im_scenario,
                                 run_im_truth, run_wrsm_scenario,
@@ -301,21 +303,116 @@ def test_im_truth_integrator_is_fourth_order():
 def test_im_covariance_health_checks_both_filters(monkeypatch):
     import driveobs.scenarios as scenarios
 
-    real_update = scenarios.ekf_update
+    real_update = scenarios.update
 
-    def indefinite_with_speed(inst, y):
+    def indefinite_with_speed(x, P, y, idx, *args):
         # flip the sign of the with-speed filter's smallest P eigenvalue
-        inst, innov = real_update(inst, y)
-        if inst.outputs.size == 3:    # the filter that measures the speed
-            w, V = np.linalg.eigh(inst.P)
+        x, P, innov = real_update(x, P, y, idx, *args)
+        if len(idx) == 3:    # the filter that measures the speed
+            w, V = np.linalg.eigh(P)
             w[0] = -w[0]
             P = V @ np.diag(w) @ V.T
-            inst = dataclasses.replace(inst, P=0.5 * (P + P.T))
-        return inst, innov
+            P = 0.5 * (P + P.T)
+        return x, P, innov
 
-    monkeypatch.setattr(scenarios, "ekf_update", indefinite_with_speed)
+    monkeypatch.setattr(scenarios, "update", indefinite_with_speed)
     trace = run_im_scenario(short_im_scenario(0.02))
     assert trace.meta["ekf_p_min_eig_ratio"] < 0
+
+
+# ---------------------------------------------------------------------------
+# the lean loops against the public step functions and scalar lookups
+
+
+def step_filter(inst, U, Y):
+    """The filter loop through the instance API, with its health."""
+    est, innov, asym, eig_ratio = [inst.x], [], 0.0, math.inf
+    for k in range(1, len(Y)):
+        inst, nu = ekf_update(ekf_predict(inst, U[k - 1]), Y[k])
+        est.append(inst.x)
+        innov.append(nu)
+        asym = max(asym, np.abs(inst.P - inst.P.T).max())
+        if k % 100 == 0:
+            eig = np.linalg.eigvalsh(inst.P)
+            eig_ratio = min(eig_ratio, eig[0] / max(eig[-1], 1e-300))
+    return np.array(est), np.array(innov), (len(Y) - 1, asym, eig_ratio)
+
+
+def test_run_filter_matches_public_steps_bit_for_bit():
+    t_end = 0.03
+    wsc = WrsmScenario(
+        t_end=t_end, run_ekf=False,
+        speed_profile=SignalProfile((Segment.ramp(0.0, t_end, 0.0, 20.0),)),
+        i_f_profile=default_field_setpoint_profile(t_end,
+                                                   windows=((0.01, 0.02),)),
+        injection_windows=((0.01, 0.02),))
+    c = run_wrsm_scenario(wsc).columns
+    Y = np.column_stack([c["i_sa"], c["i_sb"], c["i_f"]])
+    x0 = np.array([c["i_sa"][0], c["i_sb"][0], c["i_f"][0], 0.0, 0.5])
+    cfg = EkfConfig(Q=np.diag(wsc.ekf_q_diag), R=np.diag(wsc.ekf_r_diag),
+                    P0=np.diag(wsc.ekf_p0_diag), x0=x0, Ts=wsc.trace_dt)
+    cases = [(make_ekf(SynchronousMachine(wsc.params), cfg),
+              np.column_stack([c["v_sa"], c["v_sb"], c["v_f"]]),
+              Y + RNG.normal(0.0, 0.05, Y.shape))]
+    isc = short_im_scenario(0.03)
+    machine = InductionMachine(isc.params)
+    _, X, V, _, _ = _integrate_im(isc, scaled=True)
+    y_i = X[:, :2] + RNG.normal(0.0, isc.params.L_sigma, (len(X), 2))
+    for speed_measured in (True, False):
+        inst = make_ekf(machine, _im_ekf_config(isc, machine, speed_measured),
+                        speed_measured=speed_measured)
+        Y = np.column_stack([y_i, X[:, 4]]) if speed_measured else y_i
+        cases.append((inst, V, Y))
+    for inst, U, Y in cases:
+        est, innov, health = _run_filter(inst, U, Y)
+        ref_est, ref_innov, ref_health = step_filter(inst, U, Y)
+        assert np.array_equal(est, ref_est)
+        assert np.all(np.isnan(innov[0]))
+        assert np.array_equal(innov[1:], ref_innov)
+        assert health == ref_health
+
+
+def test_im_truth_chunks_match_scalar_reference_rk4():
+    # more than three input chunks, the last one partial; the profiles
+    # change segment and sine phase inside the chunks
+    dt, t_end = 1e-5, 0.035
+    n_steps, n_sub = round(t_end / dt), 10
+    assert n_steps + 1 > 3 * CHUNK and (n_steps + 1) % CHUNK
+    sc = ImScenario(
+        t_end=t_end, dt_sim=dt, trace_dt=n_sub * dt, run_ekf=False,
+        freq_profile=SignalProfile((Segment.ramp(0.0, 0.02, 60.0, 0.0),
+                                    Segment.constant(0.02, t_end, 0.0))),
+        load_profile=SignalProfile((
+            Segment.sine(0.0, t_end, 2.0, ((1.0, 300.0, 0.0),)),)))
+    truth = run_im_truth(sc)
+    rates, freq, load = im_rates(sc.params), sc.freq_profile, sc.load_profile
+
+    def volts(t):
+        frac = min(abs(freq.value(t)) / sc.omega_rated, 1.0)
+        amp = sc.v_floor + (sc.v_rated - sc.v_floor) * frac
+        phase = freq.integral(t)
+        return amp * math.cos(phase), amp * math.sin(phase)
+
+    x, rows = [0.0] * 5, []
+    for s in range(n_steps + 1):
+        t = s * dt
+        Tr, u = load.value(t), volts(t)
+        if s % n_sub == 0:
+            rows.append(x + [Tr, *u])
+        if s < n_steps:
+            um, u2 = volts(t + dt / 2), volts(t + dt)
+            k1 = rates(*x, Tr, *u)
+            k2 = rates(*(a + dt / 2 * b for a, b in zip(x, k1)), Tr, *um)
+            k3 = rates(*(a + dt / 2 * b for a, b in zip(x, k2)), Tr, *um)
+            k4 = rates(*(a + dt * b for a, b in zip(x, k3)), Tr, *u2)
+            x = [a + dt / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    p = sc.params
+    ref = np.array(rows) / [p.L_sigma, p.L_sigma, p.k_r, p.k_r, 1, 1, 1, 1]
+    for j, name in enumerate(("i_sa", "i_sb", "psi_ra", "psi_rb", "omega_e",
+                              "T_r", "v_sa", "v_sb")):
+        scale = np.max(np.abs(ref[:, j]))
+        assert np.max(np.abs(truth[name] - ref[:, j])) <= 1e-12 * scale, name
 
 
 # ---------------------------------------------------------------------------
