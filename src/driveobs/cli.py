@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,9 @@ def cmd_simulate(args) -> int:
         _err(f"simulation failed: {exc}")
         return EXIT_SIM
 
+    started = time.perf_counter()
     trace.to_csv(out_dir / "trace.csv", decimate=decimate)
+    trace.meta["timings"]["csv"] = time.perf_counter() - started
     write_summary(out_dir / "summary.json", summarize(trace))
     if output.get("plot_script", True):
         _write_plot_script(out_dir / "plot.gp", trace.meta["machine"])

@@ -1,15 +1,17 @@
 """Discrete-time extended Kalman filter, generic over the machine models.
 
-Values in, values out: every step returns a new instance, so filters can be
-advanced independently on any thread; ``predict`` and ``update`` take and
-return plain arrays, and the instance functions wrap them. Prediction uses an
-explicit first-order discretization of the dynamics and of the state
-Jacobian; the covariance update uses the symmetry-preserving (Joseph) form.
+``predict`` and ``update`` step a bank of B filters on one machine and one
+input at once: estimates ``(B, n)``, covariances ``(B, n, n)`` and 0/1
+measurement-selection matrices ``(B, m, n)``. The instance functions are the
+bank's B = 1 case; values in, values out, each step returns a new instance.
+Prediction uses an explicit first-order discretization of the dynamics and
+of the state Jacobian; the covariance update uses the Joseph form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -90,18 +92,28 @@ def make_ekf(machine, config: EkfConfig,
 
 def linearize(f, x, u, rel_step: float = 1e-6):
     """
-    Rate ``f(x, u)`` and its state Jacobian by central differences, from one
-    batched call of ``f``: the centre column plus the 2n perturbed states,
-    each component stepped by ``rel_step * max(1, |x_i|)``.
+    Rate ``f(x, u)`` and its state Jacobian by central differences, for one
+    state ``(n,)`` or a bank ``(B, n)`` sharing ``u``, from one call of ``f``
+    on the columns ``x + h·[0, I, −I]``, ``h_i = rel_step * max(1, |x_i|)``.
     """
-    n = x.size
-    h = rel_step * np.maximum(1.0, np.abs(x))
-    X = np.repeat(x[:, None], 2 * n + 1, axis=1)
-    idx = np.arange(n)
-    X[idx, 1 + idx] += h
-    X[idx, 1 + n + idx] -= h
-    F = np.asarray(f(X, u), float)
-    return F[:, 0], (F[:, 1:n + 1] - F[:, n + 1:]) / (2.0 * h[None, :])
+    X = x.reshape(-1, x.shape[-1])
+    B, n = X.shape
+    h = rel_step * np.maximum(1.0, np.abs(X))
+    cols = X.T[:, :, None] + h.T[:, :, None] * _eye_and_stencil(n)[1]
+    F = np.asarray(f(cols.reshape(n, -1), u), float).reshape(n, B, -1)
+    A = (F[:, :, 1:n + 1] - F[:, :, n + 1:]) / (2.0 * h[None])
+    return F[:, :, 0].T.reshape(x.shape), A.swapaxes(0, 1).reshape(
+        x.shape + (n,))
+
+
+@lru_cache(maxsize=None)
+def _eye_and_stencil(n: int):
+    """``I`` and ``linearize``'s ``[0, I, −I]`` for the state size ``n``;
+    read-only, as every step shares them."""
+    eye = np.eye(n)
+    D = np.hstack([np.zeros((n, 1)), eye, -eye])[:, None]
+    eye.flags.writeable = D.flags.writeable = False
+    return eye, D
 
 
 def _check_overflow(x, P, bound: float):
@@ -112,53 +124,74 @@ def _check_overflow(x, P, bound: float):
             f"({bound:g}); filter diverged")
 
 
-def predict(f, x, P, u, Ts: float, Q, eye, bound: float):
-    """Propagate ``(x, P)`` one sample ``Ts`` ahead under the rate ``f``;
-    ``eye`` is the identity of the state size."""
-    rate, A = linearize(f, x, u)
-    F = eye + Ts * A
-    P = F @ P @ F.T + Q
-    x, P = x + Ts * rate, 0.5 * (P + P.T)
-    _check_overflow(x, P, bound)
-    return x, P
+def bank(insts, Ys):
+    """``(X, P, Q, C, R, Y)`` of filters on one state size; ``Ys[b]`` are
+    member b's measurements ``(N, m_b)``. Padded to the largest ``m_b``, a
+    member gets zero ``C`` rows, unit ``R`` diagonal and zero measurements
+    in ``Y`` ``(N, B, m)``, so its padded innovations and gains are 0."""
+    n, m = insts[0].x.size, max(inst.outputs.size for inst in insts)
+    C = np.zeros((len(insts), m, n))
+    R = np.tile(np.eye(m), (len(insts), 1, 1))
+    Y = np.zeros((len(Ys[0]), len(insts), m))
+    for b, inst in enumerate(insts):
+        k = inst.outputs.size
+        C[b, np.arange(k), inst.outputs] = 1.0
+        R[b, :k, :k] = inst.config.R
+        Y[:, b, :k] = Ys[b]
+    X, P, Q = (np.array(a) for a in zip(*(
+        (inst.x, inst.P, inst.config.Q) for inst in insts)))
+    return X, P, Q, C, R, Y
 
 
-def update(x, P, y, idx, ix, R, eye, bound: float):
-    """Correct ``(x, P)`` with a measurement of the states ``idx``; returns
-    ``(x, P, innovation)``. ``ix`` is ``np.ix_(idx, idx)``: the output map
-    selects states, so ``C P C^T``, ``P C^T`` and ``K C`` are slices."""
-    innovation = np.asarray(y, float) - x[idx]
-    S = P[ix] + R
-    S = 0.5 * (S + S.T)
+def predict(f, X, P, u, Ts: float, Q, bound: float):
+    """Propagate a bank ``X`` (B, n), ``P`` (B, n, n) one sample ``Ts``
+    ahead under the rate ``f`` and the shared input ``u``."""
+    rate, A = linearize(f, X, u)
+    F = _eye_and_stencil(X.shape[1])[0] + Ts * A
+    P = F @ P @ F.swapaxes(1, 2) + Q
+    X, P = X + Ts * rate, 0.5 * (P + P.swapaxes(1, 2))
+    _check_overflow(X, P, bound)
+    return X, P
+
+
+def update(X, P, Y, C, R, bound: float):
+    """Correct a bank ``X`` (B, n), ``P`` (B, n, n) with measurements ``Y``
+    (B, m) of the states that ``C`` (B, m, n) selects; returns ``(X, P,
+    innovations)``."""
+    innovation = Y - (C @ X[:, :, None])[:, :, 0]
+    PCt = P @ C.swapaxes(1, 2)
+    S = C @ PCt + R
+    S = 0.5 * (S + S.swapaxes(1, 2))
     try:
         np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         raise SingularInnovationError(
             "innovation covariance not positive definite") from None
-    K = np.linalg.solve(S, P[:, idx].T).T
-    IKC = eye.copy()
-    IKC[:, idx] -= K
-    P = IKC @ P @ IKC.T + K @ R @ K.T
-    x, P = x + K @ innovation, 0.5 * (P + P.T)
-    _check_overflow(x, P, bound)
-    return x, P, innovation
+    K = np.linalg.solve(S, PCt.swapaxes(1, 2)).swapaxes(1, 2)
+    IKC = _eye_and_stencil(X.shape[1])[0] - K @ C
+    P = IKC @ P @ IKC.swapaxes(1, 2) + K @ R @ K.swapaxes(1, 2)
+    X = X + (K @ innovation[:, :, None])[:, :, 0]
+    P = 0.5 * (P + P.swapaxes(1, 2))
+    _check_overflow(X, P, bound)
+    return X, P, innovation
 
 
 def ekf_predict(inst: EkfInstance, u) -> EkfInstance:
     """Propagate estimate and covariance one sample ahead."""
     cfg = inst.config
-    x, P = predict(inst.machine.f, inst.x, inst.P, u, cfg.Ts, cfg.Q,
-                   np.eye(inst.x.size), cfg.overflow)
-    return replace(inst, x=x, P=P)
+    X, P = predict(inst.machine.f, inst.x[None], inst.P[None], u, cfg.Ts,
+                   cfg.Q, cfg.overflow)
+    return replace(inst, x=X[0], P=P[0])
 
 
 def ekf_update(inst: EkfInstance, y) -> Tuple[EkfInstance, np.ndarray]:
     """Correct the estimate with a measurement; returns (instance,
     innovation)."""
-    idx, cfg = inst.outputs, inst.config
-    x, P, innovation = update(inst.x, inst.P, y, idx, np.ix_(idx, idx),
-                              cfg.R, np.eye(inst.x.size), cfg.overflow)
-    return replace(inst, x=x, P=P), innovation
+    cfg, C = inst.config, np.eye(inst.x.size)[inst.outputs][None]
+    X, P, innovation = update(inst.x[None], inst.P[None],
+                              np.asarray(y, float)[None], C, cfg.R[None],
+                              cfg.overflow)
+    return replace(inst, x=X[0], P=P[0]), innovation[0]
 
 
 def ekf_step(inst: EkfInstance, u, y) -> Tuple[EkfInstance, np.ndarray]:

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ekf import EkfConfig, make_ekf, predict, update
+from .ekf import EkfConfig, bank, make_ekf, predict, update
 from .machines import (InductionMachine, SynchronousMachine, im_rates,
                        im_rates_unscaled, park, wrap_angle)
 from .observability import (OBS_THRESHOLD_DEFAULT, im_condition,
@@ -89,27 +89,27 @@ class WrsmScenario:
 
     def __post_init__(self):
         if self.speed_profile is None:
-            self.speed_profile = default_wrsm_speed_profile(self.t_end)
+            self.speed_profile = default_wrsm_speed_profile()
         if self.i_f_profile is None:
             self.i_f_profile = default_field_setpoint_profile(
-                self.t_end, windows=self.injection_windows)
+                windows=self.injection_windows)
         _check_scenario(self, {"speed_profile": self.speed_profile,
                                "i_f_profile": self.i_f_profile},
                         ("ekf_q_diag", "ekf_r_diag", "ekf_p0_diag"))
 
 
-def default_wrsm_speed_profile(t_end: float = 6.0) -> SignalProfile:
+def default_wrsm_speed_profile() -> SignalProfile:
     """Standstill through both injection windows, one ramp-hold-ramp bump."""
     return SignalProfile((
         Segment.constant(0.0, 1.5, 0.0),
         Segment.ramp(1.5, 2.5, 0.0, 100.0),
         Segment.constant(2.5, 4.0, 100.0),
         Segment.ramp(4.0, 4.5, 100.0, 0.0),
-        Segment.constant(4.5, t_end, 0.0),
+        Segment.constant(4.5, math.inf, 0.0),
     ))
 
 
-def default_field_setpoint_profile(t_end: float = 6.0, i_f0: float = 4.0,
+def default_field_setpoint_profile(i_f0: float = 4.0,
                                    i_f_hf: float = 0.5,
                                    omega_hf: float = TWO_PI * 1e3,
                                    windows=((1.0, 1.5), (4.5, 5.0))
@@ -122,8 +122,7 @@ def default_field_setpoint_profile(t_end: float = 6.0, i_f0: float = 4.0,
             segs.append(Segment.constant(t, w0, i_f0))
         segs.append(Segment.sine(w0, w1, i_f0, ((i_f_hf, omega_hf, 0.0),)))
         t = w1
-    if t < t_end:
-        segs.append(Segment.constant(t, t_end, i_f0))
+    segs.append(Segment.constant(t, math.inf, i_f0))
     return SignalProfile(tuple(segs))
 
 
@@ -157,17 +156,16 @@ class ImScenario:
     def __post_init__(self):
         if self.freq_profile is None:
             self.freq_profile = default_im_frequency_profile(
-                self.t_end, self.omega_rated, self.dwell)
+                self.omega_rated, self.dwell)
         if self.load_profile is None:
-            self.load_profile = default_im_load_profile(self.t_end)
+            self.load_profile = default_im_load_profile()
         _check_scenario(self, {"freq_profile": self.freq_profile,
                                "load_profile": self.load_profile},
                         ("ekf_q_diag_phys", "ekf_r_current_phys",
                          "ekf_r_speed", "ekf_p0_phys"))
 
 
-def default_im_frequency_profile(t_end: float = 8.5,
-                                 omega_rated: float = TWO_PI * 10.0,
+def default_im_frequency_profile(omega_rated: float = TWO_PI * 10.0,
                                  dwell: Tuple[float, float] = (3.0, 5.0)
                                  ) -> SignalProfile:
     """Rated frequency, ramp to a dwell at exactly zero, ramp back up."""
@@ -177,16 +175,16 @@ def default_im_frequency_profile(t_end: float = 8.5,
         Segment.ramp(1.0, d0, omega_rated, 0.0),
         Segment.constant(d0, d1, 0.0),
         Segment.ramp(d1, d1 + 1.0, 0.0, omega_rated),
-        Segment.constant(d1 + 1.0, t_end, omega_rated),
+        Segment.constant(d1 + 1.0, math.inf, omega_rated),
     ))
 
 
-def default_im_load_profile(t_end: float = 8.5) -> SignalProfile:
+def default_im_load_profile() -> SignalProfile:
     """Resistant torque: idle, motor-load step, generator step near the end."""
     return SignalProfile((
         Segment.constant(0.0, 0.5, 0.0),
         Segment.constant(0.5, 7.5, 5.0),
-        Segment.constant(7.5, t_end, -5.0),
+        Segment.constant(7.5, math.inf, -5.0),
     ))
 
 
@@ -325,41 +323,45 @@ def _noisy(Y: np.ndarray, std: float, seed) -> np.ndarray:
     return Y
 
 
-def _run_filter(inst, U: np.ndarray, Y: np.ndarray):
+def _run_filter(insts, U: np.ndarray, Ys):
     """
-    Run one filter over a finished trace: row ``k`` predicts with the input
-    of row ``k - 1`` and corrects with the measurement of row ``k``.
-
-    Returns the estimate and the innovation of each row (row 0: the initial
-    estimate, NaN innovations) and the covariance health ``(steps,
-    max |P - P^T|, min eigenvalue ratio checked every 100 of its steps)``.
+    Run a bank of filters that share the machine, ``Ts``, overflow bound and
+    inputs over a finished trace: row ``k`` predicts with the input of row
+    ``k - 1`` and corrects with the measurements ``Ys[b]`` of row ``k``.
+    Returns the estimates ``(N, B, n)`` and innovations ``(N, B, m)`` (row
+    0: the initial estimates, NaN innovations; padded outputs read 0) and
+    each member's health ``(steps, max |P - P^T|, min eigenvalue ratio
+    checked every 100 steps)``.
     """
-    f, idx, cfg = inst.machine.f, inst.outputs, inst.config
-    Ts, Q, R, bound = cfg.Ts, cfg.Q, cfg.R, cfg.overflow
-    ix, eye = np.ix_(idx, idx), np.eye(inst.x.size)
-    x, P = inst.x, inst.P
-    n = len(Y)
-    est = np.empty((n, x.size))
-    innov = np.full(Y.shape, math.nan)
-    est[0] = x
-    asym, eig_ratio = 0.0, math.inf
+    f, cfg = insts[0].machine.f, insts[0].config
+    X, P, Q, C, R, Y = bank(insts, Ys)
+    n, B, m = Y.shape
+    est = np.empty((n,) + X.shape)
+    innov = np.full((n, B, m), math.nan)
+    est[0] = X
+    # asym: the entrywise running maximum of |P - P^T|
+    asym, eig_ratio = np.zeros_like(P), np.full(B, math.inf)
     for k in range(1, n):
-        x, P = predict(f, x, P, U[k - 1].tolist(), Ts, Q, eye, bound)
-        x, P, innov[k] = update(x, P, Y[k], idx, ix, R, eye, bound)
-        est[k] = x
-        asym = max(asym, np.abs(P - P.T).max())
+        X, P = predict(f, X, P, U[k - 1].tolist(), cfg.Ts, Q, cfg.overflow)
+        X, P, innov[k] = update(X, P, Y[k], C, R, cfg.overflow)
+        est[k] = X
+        np.maximum(asym, np.abs(P - P.swapaxes(1, 2)), out=asym)
         if k % 100 == 0:
             eig = np.linalg.eigvalsh(P)
-            eig_ratio = min(eig_ratio, eig[0] / max(eig[-1], 1e-300))
-    return est, innov, (n - 1, asym, eig_ratio)
+            eig_ratio = np.minimum(
+                eig_ratio, eig[:, 0] / np.maximum(eig[:, -1], 1e-300))
+    return est, innov, [(n - 1, a, r) for a, r in zip(
+        asym.max(axis=(1, 2)).tolist(), eig_ratio.tolist())]
 
 
-def _scenario_trace(sc, cols: dict, channel: str, health, started: float,
+def _scenario_trace(sc, cols: dict, channel: str, health, laps,
                     **meta) -> SimTrace:
     """
     Finish a scenario trace: the windowed ``obs_violated`` flag is set where
     the recent |``channel``| never reached the threshold; ``meta`` gains the
-    grid, the flag settings and the covariance health of all filters.
+    grid, the flag settings, the covariance health of all filters and the
+    stage timings from ``laps``, the clock at the start and after each of
+    plant, channels and filters.
     """
     width = max(int(round(sc.flag_window / sc.trace_dt)), 1)
     channel_max = rolling_abs_max(cols[channel], width)
@@ -372,7 +374,9 @@ def _scenario_trace(sc, cols: dict, channel: str, health, started: float,
         "ekf_p_max_asym": max((h[1] for h in health), default=0.0),
         "ekf_p_min_eig_ratio": min(h[2] for h in health) if steps
         else math.nan,
-        "wall_time_s": time.perf_counter() - started})
+        "timings": {stage: b - a for stage, a, b in zip(
+            ("plant", "channels", "filters"), laps, laps[1:])},
+        "wall_time_s": time.perf_counter() - laps[0]})
     return SimTrace(columns=cols, meta=meta)
 
 
@@ -388,7 +392,7 @@ _WRSM_PLANT = ("t", "omega", "theta", "i_sa", "i_sb", "i_f", "i_sd", "i_sq",
 
 def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     """Simulate the WRSM scenario; returns the trace on the filter grid."""
-    started = time.perf_counter()
+    laps = [time.perf_counter()]
     p = sc.params
     machine = SynchronousMachine(p)
     dt = sc.dt_sim
@@ -485,6 +489,7 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
                 ib += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
                 i_f += (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
 
+    laps.append(time.perf_counter())
     cols = dict(zip(_WRSM_PLANT, rows.T))
     theta = cols["theta"]
     cols["theta"] = wrap_angle(theta)
@@ -498,16 +503,18 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     diq = (-s1 * dia + c1 * dib) - w * i_d
     det_sm = sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif)
     ratio = sm_condition_ratio(p, i_d, i_q, i_f)
+    laps.append(time.perf_counter())
 
-    est = np.full((n_trace, 5), math.nan)
-    innov = np.full((n_trace, 3), math.nan)
-    health = []
     if ekf is not None:
         Y = np.column_stack([cols["i_sa"], cols["i_sb"], cols["i_f"]])
         U = np.column_stack([cols["v_sa"], cols["v_sb"], cols["v_f"]])
-        est, innov, filter_health = _run_filter(
-            ekf, U, _noisy(Y, sc.noise_std, sc.seed))
-        health.append(filter_health)
+        est, innov, health = _run_filter(
+            [ekf], U, [_noisy(Y, sc.noise_std, sc.seed)])
+    else:
+        est, innov, health = (np.full((n_trace, 1, 5), math.nan),
+                              np.full((n_trace, 1, 3), math.nan), [])
+    laps.append(time.perf_counter())
+    est, innov = est[:, 0], innov[:, 0]
 
     cols.update({
         "det_sm": det_sm, "ratio": ratio,
@@ -519,7 +526,7 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     })
 
     return _scenario_trace(
-        sc, cols, "margin", health, started, machine="wrsm",
+        sc, cols, "margin", health, laps, machine="wrsm",
         injection_windows=[list(wdw) for wdw in sc.injection_windows],
         theta0_error=sc.theta0_error,
         pi_saturated_samples=int(np.sum(cols["pi_saturated"] > 0)))
@@ -550,21 +557,20 @@ def _im_ekf_config(sc: ImScenario, machine: InductionMachine,
 
 def run_im_scenario(sc: ImScenario) -> SimTrace:
     """Simulate the IM scenario with both filters; trace on the filter grid."""
-    started = time.perf_counter()
+    laps = [time.perf_counter()]
     p = sc.params
     machine = InductionMachine(p)
     kr = p.k_r
     L_sig = p.L_sigma
 
-    filters = {}
-    if sc.run_ekf:
-        for tag, speed_measured in (("spd", True), ("sl", False)):
-            filters[tag] = make_ekf(
-                machine, _im_ekf_config(sc, machine, speed_measured),
-                speed_measured=speed_measured)
+    # the with-speed and the sensorless filter: one bank
+    filters = [make_ekf(machine, _im_ekf_config(sc, machine, speed_measured),
+                        speed_measured=speed_measured)
+               for speed_measured in (True, False)] if sc.run_ekf else []
 
     t, X, V, omega_s_cmd, omega_s = _integrate_im(sc, scaled=True)
     n = len(t)
+    laps.append(time.perf_counter())
 
     # closed-form channels on the trace columns; the line distance is NaN
     # where the flux is too small to define the slip
@@ -577,24 +583,23 @@ def run_im_scenario(sc: ImScenario) -> SimTrace:
     det_sensorless = im_determinant(p, "sensorless", X.T, xdot)
     line_distance = we + slip_frequency(
         p, T_m, np.where(psi_rd > 1e-9, psi_rd, math.nan))
+    laps.append(time.perf_counter())
 
-    y_i = _noisy(X[:, :2], sc.noise_std * L_sig, sc.seed)
-    filtered, health = {}, []
-    for tag, speed_measured in (("spd", True), ("sl", False)):
-        est = np.full((n, 6), math.nan)
-        innov = np.full((n, 3 if speed_measured else 2), math.nan)
-        if tag in filters:
-            Y = np.column_stack([y_i, X[:, 4]]) if speed_measured else y_i
-            est, innov, filter_health = _run_filter(filters[tag], V, Y)
-            health.append(filter_health)
-        flux_err = np.hypot(est[:, 2] - pa, est[:, 3] - pb) / np.maximum(
-            np.hypot(pa, pb), 1e-12)
-        filtered[tag] = est, innov, flux_err
+    if filters:
+        y_i = _noisy(X[:, :2], sc.noise_std * L_sig, sc.seed)
+        est, innov, health = _run_filter(
+            filters, V, [np.column_stack([y_i, X[:, 4]]), y_i])
+    else:
+        est, innov, health = (np.full((n, 2, 6), math.nan),
+                              np.full((n, 2, 3), math.nan), [])
+    flux_err = np.hypot(est[..., 2].T - pa, est[..., 3].T - pb) / np.maximum(
+        np.hypot(pa, pb), 1e-12)
+    laps.append(time.perf_counter())
 
     # physical units, in place so that each trace column is a view
-    for A in (X, filtered["spd"][0], filtered["sl"][0]):
-        A[:, :2] /= L_sig
-        A[:, 2:4] /= kr
+    for A in (X, est):
+        A[..., :2] /= L_sig
+        A[..., 2:4] /= kr
     cols = {"t": t, "omega_s_cmd": omega_s_cmd, "v_sa": V[:, 0],
             "v_sb": V[:, 1], "T_load": X[:, 5].copy(), "i_sa": X[:, 0],
             "i_sb": X[:, 1], "psi_ra": X[:, 2], "psi_rb": X[:, 3],
@@ -602,14 +607,14 @@ def run_im_scenario(sc: ImScenario) -> SimTrace:
             "psi_rd": psi_rd, "omega_s": omega_s, "im_cond": im_cond,
             "det_with_speed": det_with_speed,
             "det_sensorless": det_sensorless, "line_distance": line_distance}
-    for tag, (est, innov, flux_err) in filtered.items():
+    for b, tag in enumerate(("spd", "sl")):
         cols.update({
-            f"{tag}_i_sa": est[:, 0], f"{tag}_i_sb": est[:, 1],
-            f"{tag}_psi_ra": est[:, 2], f"{tag}_psi_rb": est[:, 3],
-            f"{tag}_omega_e": est[:, 4], f"{tag}_T_r": est[:, 5],
-            f"{tag}_flux_err": flux_err,
-            f"{tag}_innov_a": innov[:, 0], f"{tag}_innov_b": innov[:, 1]})
-    cols["spd_innov_w"] = filtered["spd"][1][:, 2]
+            f"{tag}_i_sa": est[:, b, 0], f"{tag}_i_sb": est[:, b, 1],
+            f"{tag}_psi_ra": est[:, b, 2], f"{tag}_psi_rb": est[:, b, 3],
+            f"{tag}_omega_e": est[:, b, 4], f"{tag}_T_r": est[:, b, 5],
+            f"{tag}_flux_err": flux_err[b],
+            f"{tag}_innov_a": innov[:, b, 0], f"{tag}_innov_b": innov[:, b, 1]})
+    cols["spd_innov_w"] = innov[:, 0, 2]
 
-    return _scenario_trace(sc, cols, "im_cond", health, started,
+    return _scenario_trace(sc, cols, "im_cond", health, laps,
                            machine="im", dwell=list(sc.dwell))

@@ -108,6 +108,7 @@ def summarize_wrsm(trace: SimTrace) -> dict:
         "pi_saturated_samples": meta.get("pi_saturated_samples", 0),
         "checks": checks,
         "wall_time_s": meta.get("wall_time_s", math.nan),
+        "timings": meta.get("timings", {}),
     }
     return summary
 
@@ -162,6 +163,7 @@ def summarize_im(trace: SimTrace) -> dict:
                     "sl_innov_a", "sl_innov_b"]),
         "checks": checks,
         "wall_time_s": meta.get("wall_time_s", math.nan),
+        "timings": meta.get("timings", {}),
     }
     return summary
 

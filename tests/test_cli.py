@@ -138,6 +138,7 @@ def test_simulate_im_outputs_and_schema(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     # the run ends before its re-convergence window [d1 + 1.0, d1 + 1.5] s
     assert summary["checks"]["sensorless_reconverges"] is None
+    check_stage_timings(summary)
 
 
 def test_simulate_decimation(tmp_path):
@@ -178,6 +179,36 @@ def test_simulate_summary_wall_time_is_the_scenarios(tmp_path, monkeypatch):
     assert rc == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["wall_time_s"] == 123.0
+
+
+def check_stage_timings(summary):
+    timings = summary["timings"]
+    assert set(timings) == {"plant", "channels", "filters", "csv"}
+    assert all(v >= 0.0 for v in timings.values())
+    # the CSV is written after the scenario, outside its wall time
+    stages = timings["plant"] + timings["channels"] + timings["filters"]
+    assert stages <= summary["wall_time_s"]
+
+
+def test_simulate_summary_stage_timings(tmp_path):
+    cfg = write_cfg(tmp_path, short_wrsm_cfg())
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    check_stage_timings(
+        json.loads((tmp_path / "out" / "summary.json").read_text()))
+
+
+@pytest.mark.parametrize("kind", ["wrsm", "im"])
+def test_simulate_default_profiles_short_t_end(tmp_path, kind):
+    # only t_end set: the default profiles must still cover the run
+    cfg = write_cfg(tmp_path, {
+        "schema": CONFIG_SCHEMA, "machine": {"kind": kind},
+        "scenario": {"type": kind, "t_end": 0.05},
+        "output": {"plot_script": False}})
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    trace = SimTrace.from_csv(tmp_path / "out" / "trace.csv")
+    assert trace.t[-1] == pytest.approx(0.05)
 
 
 def test_simulate_summary_recomputable_from_csv(tmp_path):

@@ -5,12 +5,15 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from driveobs.observability import (im_condition, im_determinant,
                                     slip_frequency, sm_condition_ratio,
                                     sm_determinant)
 from driveobs.profiles import Segment, SignalProfile
-from driveobs.ekf import EkfConfig, ekf_predict, ekf_update, make_ekf
+from driveobs.ekf import (EkfConfig, EkfDivergenceError,
+                          SingularInnovationError, ekf_predict, ekf_update,
+                          make_ekf)
 from driveobs.scenarios import (CHUNK, ImScenario, WrsmScenario,
                                 _im_ekf_config, _integrate_im, _run_filter,
                                 default_field_setpoint_profile,
@@ -177,7 +180,7 @@ def test_wrsm_short_rerun_bitwise_identical():
     sc_kwargs = dict(
         t_end=0.3,
         speed_profile=SignalProfile.constant(0.0, 0.3, 0.0),
-        i_f_profile=default_field_setpoint_profile(0.3, windows=((0.1, 0.2),)),
+        i_f_profile=default_field_setpoint_profile(windows=((0.1, 0.2),)),
         injection_windows=((0.1, 0.2),),
     )
     a = run_wrsm_scenario(WrsmScenario(**sc_kwargs))
@@ -305,15 +308,16 @@ def test_im_covariance_health_checks_both_filters(monkeypatch):
 
     real_update = scenarios.update
 
-    def indefinite_with_speed(x, P, y, idx, *args):
-        # flip the sign of the with-speed filter's smallest P eigenvalue
-        x, P, innov = real_update(x, P, y, idx, *args)
-        if len(idx) == 3:    # the filter that measures the speed
-            w, V = np.linalg.eigh(P)
-            w[0] = -w[0]
-            P = V @ np.diag(w) @ V.T
-            P = 0.5 * (P + P.T)
-        return x, P, innov
+    def indefinite_with_speed(X, P, *args):
+        # flip the sign of member 0's (the with-speed filter's) smallest
+        # covariance eigenvalue
+        X, P, innov = real_update(X, P, *args)
+        w, V = np.linalg.eigh(P[0])
+        w[0] = -w[0]
+        P = P.copy()
+        P[0] = V @ np.diag(w) @ V.T
+        P[0] = 0.5 * (P[0] + P[0].T)
+        return X, P, innov
 
     monkeypatch.setattr(scenarios, "update", indefinite_with_speed)
     trace = run_im_scenario(short_im_scenario(0.02))
@@ -321,21 +325,70 @@ def test_im_covariance_health_checks_both_filters(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the lean loops against the public step functions and scalar lookups
+# the filter bank against an independent single-filter reference
+
+
+def reference_filter(inst, U, Y):
+    """
+    One filter stepped on its own with the update written on slices of the
+    measured states (``x[idx]``, ``P[ix]``, ``P[:, idx]``) and the
+    Jacobian's perturbed states built by repeat and index; returns the
+    estimates, the innovations of rows 1.. and the covariance health.
+    """
+    f, cfg, idx = inst.machine.f, inst.config, inst.outputs
+    ix, eye, n = np.ix_(idx, idx), np.eye(inst.x.size), inst.x.size
+    x, P = inst.x, inst.P
+    est, innov, asym, eig_ratio = [x], [], 0.0, math.inf
+    for k in range(1, len(Y)):
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        Xp = np.repeat(x[:, None], 2 * n + 1, axis=1)
+        Xp[np.arange(n), 1 + np.arange(n)] += h
+        Xp[np.arange(n), 1 + n + np.arange(n)] -= h
+        F = f(Xp, U[k - 1].tolist())
+        A = (F[:, 1:n + 1] - F[:, n + 1:]) / (2.0 * h[None, :])
+        Fd = eye + cfg.Ts * A
+        P = Fd @ P @ Fd.T + cfg.Q
+        x, P = x + cfg.Ts * F[:, 0], 0.5 * (P + P.T)
+
+        nu = np.asarray(Y[k], float) - x[idx]
+        S = P[ix] + cfg.R
+        S = 0.5 * (S + S.T)
+        K = np.linalg.solve(S, P[:, idx].T).T
+        IKC = eye.copy()
+        IKC[:, idx] -= K
+        P = IKC @ P @ IKC.T + K @ cfg.R @ K.T
+        x, P = x + K @ nu, 0.5 * (P + P.T)
+
+        est.append(x)
+        innov.append(nu)
+        asym = max(asym, np.abs(P - P.T).max())
+        if k % 100 == 0:
+            eig = np.linalg.eigvalsh(P)
+            eig_ratio = min(eig_ratio, eig[0] / max(eig[-1], 1e-300))
+    return np.array(est), np.array(innov), (len(Y) - 1, asym, eig_ratio)
 
 
 def step_filter(inst, U, Y):
-    """The filter loop through the instance API, with its health."""
-    est, innov, asym, eig_ratio = [inst.x], [], 0.0, math.inf
+    """The filter loop through the single-filter API."""
+    est, innov = [inst.x], []
     for k in range(1, len(Y)):
         inst, nu = ekf_update(ekf_predict(inst, U[k - 1]), Y[k])
         est.append(inst.x)
         innov.append(nu)
-        asym = max(asym, np.abs(inst.P - inst.P.T).max())
-        if k % 100 == 0:
-            eig = np.linalg.eigvalsh(inst.P)
-            eig_ratio = min(eig_ratio, eig[0] / max(eig[-1], 1e-300))
-    return np.array(est), np.array(innov), (len(Y) - 1, asym, eig_ratio)
+    return np.array(est), np.array(innov)
+
+
+def im_bank(t_end, noise=1.0):
+    """The IM scenario's [with-speed, sensorless] bank, inputs and noisy
+    measurements on a short run."""
+    isc = short_im_scenario(t_end)
+    machine = InductionMachine(isc.params)
+    _, X, V, _, _ = _integrate_im(isc, scaled=True)
+    y_i = X[:, :2] + RNG.normal(0.0, noise * isc.params.L_sigma, (len(X), 2))
+    insts = [make_ekf(machine, _im_ekf_config(isc, machine, speed_measured),
+                      speed_measured=speed_measured)
+             for speed_measured in (True, False)]
+    return insts, V, [np.column_stack([y_i, X[:, 4]]), y_i]
 
 
 def test_run_filter_matches_public_steps_bit_for_bit():
@@ -343,33 +396,78 @@ def test_run_filter_matches_public_steps_bit_for_bit():
     wsc = WrsmScenario(
         t_end=t_end, run_ekf=False,
         speed_profile=SignalProfile((Segment.ramp(0.0, t_end, 0.0, 20.0),)),
-        i_f_profile=default_field_setpoint_profile(t_end,
-                                                   windows=((0.01, 0.02),)),
+        i_f_profile=default_field_setpoint_profile(windows=((0.01, 0.02),)),
         injection_windows=((0.01, 0.02),))
     c = run_wrsm_scenario(wsc).columns
     Y = np.column_stack([c["i_sa"], c["i_sb"], c["i_f"]])
     x0 = np.array([c["i_sa"][0], c["i_sb"][0], c["i_f"][0], 0.0, 0.5])
     cfg = EkfConfig(Q=np.diag(wsc.ekf_q_diag), R=np.diag(wsc.ekf_r_diag),
                     P0=np.diag(wsc.ekf_p0_diag), x0=x0, Ts=wsc.trace_dt)
-    cases = [(make_ekf(SynchronousMachine(wsc.params), cfg),
+    banks = [([make_ekf(SynchronousMachine(wsc.params), cfg)],
               np.column_stack([c["v_sa"], c["v_sb"], c["v_f"]]),
-              Y + RNG.normal(0.0, 0.05, Y.shape))]
-    isc = short_im_scenario(0.03)
-    machine = InductionMachine(isc.params)
-    _, X, V, _, _ = _integrate_im(isc, scaled=True)
-    y_i = X[:, :2] + RNG.normal(0.0, isc.params.L_sigma, (len(X), 2))
-    for speed_measured in (True, False):
-        inst = make_ekf(machine, _im_ekf_config(isc, machine, speed_measured),
-                        speed_measured=speed_measured)
-        Y = np.column_stack([y_i, X[:, 4]]) if speed_measured else y_i
-        cases.append((inst, V, Y))
-    for inst, U, Y in cases:
-        est, innov, health = _run_filter(inst, U, Y)
-        ref_est, ref_innov, ref_health = step_filter(inst, U, Y)
-        assert np.array_equal(est, ref_est)
-        assert np.all(np.isnan(innov[0]))
-        assert np.array_equal(innov[1:], ref_innov)
-        assert health == ref_health
+              [Y + RNG.normal(0.0, 0.05, Y.shape)]),
+             im_bank(0.03)]
+    for insts, U, Ys in banks:
+        est, innov, health = _run_filter(insts, U, Ys)
+        assert est.shape[:2] == innov.shape[:2] == (len(U), len(insts))
+        for b, (inst, Y) in enumerate(zip(insts, Ys)):
+            ref_est, ref_innov, ref_health = reference_filter(inst, U, Y)
+            m = Y.shape[1]
+            assert np.array_equal(est[:, b], ref_est)
+            assert np.all(np.isnan(innov[0, b]))
+            assert np.array_equal(innov[1:, b, :m], ref_innov)
+            assert not np.any(innov[1:, b, m:])    # padded outputs
+            assert health[b] == ref_health
+            # the single-filter API is the bank's B = 1 case
+            pub_est, pub_innov = step_filter(inst, U, Y)
+            assert np.array_equal(pub_est, ref_est)
+            assert np.array_equal(pub_innov, ref_innov)
+
+
+@pytest.mark.parametrize("where, value", [("x", math.nan), ("x", 1e13),
+                                          ("y", math.nan)])
+def test_filter_bank_divergence_in_one_member(where, value):
+    insts, U, Ys = im_bank(0.005)
+    if where == "x":    # caught after the predict
+        x = insts[1].x.copy()
+        x[2] = value
+        insts[1] = dataclasses.replace(insts[1], x=x)
+    else:               # caught after the update
+        Ys[1] = Ys[1].copy()
+        Ys[1][50, 0] = value
+    _run_filter([insts[0]], U, Ys[:1])
+    with pytest.raises(EkfDivergenceError):
+        _run_filter(insts, U, Ys)
+
+
+def test_filter_bank_singular_innovation_in_one_member():
+    insts, U, Ys = im_bank(0.005)
+    cfg = dataclasses.replace(insts[1].config)
+    object.__setattr__(cfg, "R", -cfg.R)    # corrupt past validation
+    insts[1] = dataclasses.replace(insts[1], config=cfg)
+    _run_filter([insts[0]], U, Ys[:1])
+    with pytest.raises(SingularInnovationError):
+        _run_filter(insts, U, Ys)
+
+
+# ---------------------------------------------------------------------------
+# default profiles and the chunked plant loop
+
+
+def test_default_profiles_cover_short_t_end():
+    # each default profile holds its last value past the default t_end
+    for sc in (WrsmScenario(t_end=4.0), ImScenario(t_end=7.0),
+               WrsmScenario(t_end=0.05), ImScenario(t_end=0.05)):
+        for prof in (getattr(sc, name) for name in
+                     ("speed_profile", "i_f_profile", "freq_profile",
+                      "load_profile") if hasattr(sc, name)):
+            assert prof.start == 0.0 and prof.end == math.inf
+    long, short = ImScenario(), ImScenario(t_end=7.0)
+    t = np.linspace(0.0, 7.0, 7001)
+    for name in ("freq_profile", "load_profile"):
+        for a, b in zip(getattr(long, name).sample(t),
+                        getattr(short, name).sample(t)):
+            assert np.array_equal(a, b)
 
 
 def test_im_truth_chunks_match_scalar_reference_rk4():
@@ -438,8 +536,7 @@ def test_wrsm_channels_match_point_closed_forms():
     sc = WrsmScenario(
         t_end=t_end, run_ekf=False,
         speed_profile=SignalProfile((Segment.ramp(0.0, t_end, 0.0, 50.0),)),
-        i_f_profile=default_field_setpoint_profile(t_end,
-                                                   windows=((0.1, 0.2),)),
+        i_f_profile=default_field_setpoint_profile(windows=((0.1, 0.2),)),
         injection_windows=((0.1, 0.2),))
     trace = run_wrsm_scenario(sc)
     p, c = sc.params, trace.columns
