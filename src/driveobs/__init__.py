@@ -14,8 +14,7 @@ from .machines import (DcMachine, InductionMachine, SingularInductanceError,
                        SynchronousMachine, dq_derivative, make_machine, park,
                        wrap_angle)
 from .lie import (DimensionMismatchError, ObsMatrixResult,
-                  machine_observability_matrix, numeric_observability_matrix,
-                  standard_row_spec)
+                  machine_observability_matrix, numeric_observability_matrix)
 from .observability import (DegenerateFluxError, ObservabilityReport,
                             ObservabilityVector, OBS_THRESHOLD_DEFAULT,
                             dcm_determinant, flux_angular_velocity,

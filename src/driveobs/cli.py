@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, SM_KINDS, load_config, scenario_from_config
+from .config import ConfigError, load_config, scenario_from_config
 from .ekf import EkfDivergenceError, SingularInnovationError
 from .machines import SingularInductanceError, make_machine
 from .profiles import ProfileDomainError
@@ -23,7 +23,7 @@ from .observability import (DegenerateFluxError, OBS_THRESHOLD_DEFAULT,
                             im_steady_operating_point, observability_report,
                             slip_frequency, sm_determinant,
                             sm_operating_point)
-from .params import params_from_dict
+from .params import SM_KINDS, params_from_dict
 from .scenarios import run_im_scenario, run_wrsm_scenario
 from .summary import summarize
 from .trace import json_sanitize, write_summary
@@ -135,7 +135,7 @@ def _check_point(cfg: dict, threshold: float):
         x, u = sm_operating_point(
             params, omega=block.get("omega", 0.0),
             i_sd=block.get("i_d", 0.0), i_sq=block.get("i_q", 0.0),
-            i_f=block.get("i_f", 0.0 if kind in ("wrsm", "hesm") else None),
+            i_f=block.get("i_f", 0.0 if params.has_field else None),
             di_sd=block.get("di_d", 0.0), di_sq=block.get("di_q", 0.0),
             di_f=block.get("di_f", 0.0))
     elif kind == "im":
@@ -153,6 +153,9 @@ def _check_point(cfg: dict, threshold: float):
 
 
 def cmd_check(args) -> int:
+    if not 0.0 < args.threshold <= sys.float_info.max:   # NaN fails too
+        _err(f"--threshold must be finite and above 0, got {args.threshold}")
+        return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
         if "check" not in cfg:
@@ -184,7 +187,7 @@ def _sweep_cells(cfg: dict):
         header = "omega_e,T_m,determinant,condition"
     else:
         omega = block.get("omega", 0.0)
-        i_f = block.get("i_f", 0.0) if kind in ("wrsm", "hesm") else None
+        i_f = block.get("i_f", 0.0) if params.has_field else None
         det = sm_determinant(params, omega, x, y, i_f)
         cells = (x, y, det, np.full_like(det, omega))
         header = "i_d,i_q,determinant,omega"

@@ -13,14 +13,12 @@ from importlib import resources
 
 import numpy as np
 
-from .params import (DEFAULT_PARAMS, MACHINE_KINDS, params_from_dict,
-                     params_to_dict)
+from .params import (DEFAULT_PARAMS, MACHINE_KINDS, SM_KINDS,
+                     params_from_dict, params_to_dict)
 from .profiles import Segment, SignalProfile
 from .scenarios import ImScenario, WrsmScenario
 
 CONFIG_SCHEMA = "driveobs-config/1"
-
-SM_KINDS = ("wrsm", "ipmsm", "spmsm", "syrm", "hesm")
 
 
 class ConfigError(ValueError):
@@ -38,40 +36,47 @@ def _require_keys(block: dict, allowed, where: str, required=()):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _finite(value) -> bool:
+    """Whether a value is a number (an int or a float, not a bool) and
+    neither infinite nor NaN."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _list_like(value, default: tuple) -> bool:
-    """Whether a value is a list shaped like a tuple default: as many
+    """Whether a value is a list shaped like a tuple default: as many finite
     numbers as a tuple of numbers has, any count of such lists for a tuple
     of tuples."""
     if not isinstance(value, list):
         return False
     if default and type(default[0]) is tuple:
         return all(_list_like(v, default[0]) for v in value)
-    return len(value) == len(default) \
-        and all(type(v) in (int, float) for v in value)
+    return len(value) == len(default) and all(map(_finite, value))
 
 
 def _require_numbers(block: dict, defaults: dict, where: str):
     """Reject a value unlike every default of its field (a list per key) if
     one is a number or a tuple: an int takes an int, a float any number,
-    None null, a tuple a list of its shape (``_list_like``)."""
+    None null, a tuple a list of its shape (``_list_like``). Every number
+    must be finite."""
     for key, value in block.items():
         types = {type(d) for d in defaults.get(key, ())}
         if types & {int, float} and type(value) not in types | {int}:
             raise ConfigError(f"{where}.{key} must have the type of "
                               f"{' or '.join(map(repr, defaults[key]))}, "
                               f"got {value!r}")
+        if type(value) in (int, float):
+            _require_finite(block, (key,), where)
         for d in defaults.get(key, ()):
             if type(d) is tuple and not _list_like(value, d):
-                shape = f"lists of {len(d[0])} numbers" \
-                    if type(d[0]) is tuple else f"{len(d)} numbers"
+                shape = f"lists of {len(d[0])} finite numbers" \
+                    if type(d[0]) is tuple else f"{len(d)} finite numbers"
                 raise ConfigError(f"{where}.{key} must be a list of {shape}, "
                                   f"got {value!r}")
 
 
 def _require_finite(block: dict, keys, where: str):
     for key in keys:
-        if type(block[key]) not in (int, float) \
-                or not abs(block[key]) <= sys.float_info.max:
+        if not _finite(block[key]):
             raise ConfigError(f"{where}.{key} must be a finite number, got "
                               f"{block[key]!r}")
 
@@ -88,7 +93,8 @@ def _segments_from_json(items, where: str) -> SignalProfile:
                         f"{where}[{i}]")
         if not _list_like(item.get("terms", []), ((0.0, 0.0, 0.0),)):
             raise ConfigError(f"{where}[{i}].terms must be a list of "
-                              "[amplitude, omega, phase] lists of numbers")
+                              "[amplitude, omega, phase] lists of finite "
+                              "numbers")
         kind = item["kind"]
         try:
             if kind == "constant":
@@ -205,17 +211,20 @@ def _validate_check(cfg, block):
             "sensorless", "with_speed"):
         raise ConfigError("check.mode must be 'sensorless' or 'with_speed'")
     _require_finite(block, sorted(set(block) - {"mode"}), "check")
+    if "threshold" in block and block["threshold"] <= 0:
+        raise ConfigError("check.threshold must be above 0, got "
+                          f"{block['threshold']!r}")
 
 
 def _validate_sweep(cfg, block):
     kind = cfg["machine"]["kind"]
     if kind == "im":
-        _require_keys(block, ("omega_e", "T_m", "psi_rd", "threshold"),
-                      "sweep", required=("omega_e", "T_m"))
+        _require_keys(block, ("omega_e", "T_m", "psi_rd"), "sweep",
+                      required=("omega_e", "T_m"))
         axes = ("omega_e", "T_m")
     elif kind in SM_KINDS:
-        _require_keys(block, ("i_d", "i_q", "omega", "i_f", "threshold"),
-                      "sweep", required=("i_d", "i_q"))
+        _require_keys(block, ("i_d", "i_q", "omega", "i_f"), "sweep",
+                      required=("i_d", "i_q"))
         axes = ("i_d", "i_q")
     else:
         raise ConfigError("sweep supports SM and IM machines only")

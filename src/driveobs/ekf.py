@@ -16,6 +16,8 @@ from typing import Tuple
 
 import numpy as np
 
+REL_STEP = 1e-6  # relative step of the Jacobian's central differences
+
 
 class EkfDivergenceError(RuntimeError):
     """Estimate or covariance exceeded the overflow bound (filter blow-up)."""
@@ -90,15 +92,15 @@ def make_ekf(machine, config: EkfConfig,
                        config=config, machine=machine, outputs=outputs)
 
 
-def linearize(f, x, u, rel_step: float = 1e-6):
+def linearize(f, x, u):
     """
     Rate ``f(x, u)`` and its state Jacobian by central differences, for one
     state ``(n,)`` or a bank ``(B, n)`` sharing ``u``, from one call of ``f``
-    on the columns ``x + h·[0, I, −I]``, ``h_i = rel_step * max(1, |x_i|)``.
+    on the columns ``x + h·[0, I, −I]``, ``h_i = REL_STEP * max(1, |x_i|)``.
     """
     X = x.reshape(-1, x.shape[-1])
     B, n = X.shape
-    h = rel_step * np.maximum(1.0, np.abs(X))
+    h = REL_STEP * np.maximum(1.0, np.abs(X))
     cols = X.T[:, :, None] + h.T[:, :, None] * _eye_and_stencil(n)[1]
     F = np.asarray(f(cols.reshape(n, -1), u), float).reshape(n, B, -1)
     A = (F[:, :, 1:n + 1] - F[:, :, n + 1:]) / (2.0 * h[None])

@@ -14,14 +14,11 @@ import numpy as np
 
 SV_RANK_RTOL = 1e-9  # singular values below this fraction of the largest count as zero
 
-# Row selections (output_component, derivative_order) per machine family.
-ROW_SPECS = {
-    "sm_field": ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1)),
-    "sm_brushless": ((0, 0), (1, 0), (0, 1), (1, 1)),
-    "im_with_speed": ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)),
-    "im_sensorless": ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)),
-    "dcm": ((0, 0), (0, 1), (0, 2)),
-}
+# relative finite-difference steps: inside each output derivative, for the
+# rows of orders 0 and 1, and for the fourth-order stencil of order-2 rows
+INNER_STEP = 1e-5
+ROW_STEP = 1e-6
+ROW_STEP_HIGH = 2e-3
 
 
 class DimensionMismatchError(ValueError):
@@ -66,8 +63,7 @@ class ObsMatrixResult:
     singular_values: np.ndarray
 
 
-def lie_output_derivative(f, h, x, u, u_dot=None, order: int = 1,
-                          inner_step: float = 1e-5) -> np.ndarray:
+def lie_output_derivative(f, h, x, u, u_dot=None, order: int = 1) -> np.ndarray:
     """
     Numeric ``order``-th total time derivative of the output at (x, u).
 
@@ -86,25 +82,20 @@ def lie_output_derivative(f, h, x, u, u_dot=None, order: int = 1,
         return np.asarray(h(x), float)
 
     def prev_of_x(z):
-        return lie_output_derivative(f, h, z, u, u_dot=None,
-                                     order=order - 1, inner_step=inner_step)
+        return lie_output_derivative(f, h, z, u, u_dot=None, order=order - 1)
 
-    val = fd_jacobian(prev_of_x, x, rel_step=inner_step) @ np.asarray(f(x, u), float)
+    val = fd_jacobian(prev_of_x, x, rel_step=INNER_STEP) @ np.asarray(f(x, u), float)
     if has_udot:
         def prev_of_u(w):
-            return lie_output_derivative(f, h, x, w, u_dot=None,
-                                         order=order - 1, inner_step=inner_step)
+            return lie_output_derivative(f, h, x, w, u_dot=None, order=order - 1)
 
-        val = val + fd_jacobian(prev_of_u, u, rel_step=inner_step) @ np.asarray(u_dot, float)
+        val = val + fd_jacobian(prev_of_u, u, rel_step=INNER_STEP) @ np.asarray(u_dot, float)
     return val
 
 
 def numeric_observability_matrix(f, h, x, u, u_dot=None,
                                  row_spec: Sequence[Tuple[int, int]] = (),
-                                 want_determinant: bool = True,
-                                 inner_step: float = 1e-5,
-                                 row_step: float = 1e-6,
-                                 row_step_high: float = 2e-3) -> ObsMatrixResult:
+                                 want_determinant: bool = True) -> ObsMatrixResult:
     """
     Stack Jacobian rows of output Lie derivatives and analyze their rank.
 
@@ -131,12 +122,12 @@ def numeric_observability_matrix(f, h, x, u, u_dot=None,
     blocks = {}
     for order in sorted({o for _, o in row_spec}):
         def g(z, order=order):
-            return lie_output_derivative(f, h, z, u, u_dot, order, inner_step)
+            return lie_output_derivative(f, h, z, u, u_dot, order)
 
         if order <= 1:
-            blocks[order] = fd_jacobian(g, x, rel_step=row_step)
+            blocks[order] = fd_jacobian(g, x, rel_step=ROW_STEP)
         else:
-            blocks[order] = fd_jacobian(g, x, rel_step=row_step_high, order=4)
+            blocks[order] = fd_jacobian(g, x, rel_step=ROW_STEP_HIGH, order=4)
     M = np.vstack([blocks[o][i] for i, o in row_spec])
 
     det = None
@@ -160,25 +151,10 @@ def numeric_observability_matrix(f, h, x, u, u_dot=None,
                            condition_number=cond, singular_values=sv)
 
 
-def standard_row_spec(machine, speed_measured: bool = False):
-    """Row selection used for each machine family."""
-    kind = machine.kind
-    if kind in ("wrsm", "hesm"):
-        return ROW_SPECS["sm_field"]
-    if kind in ("ipmsm", "spmsm", "syrm"):
-        return ROW_SPECS["sm_brushless"]
-    if kind == "im":
-        return ROW_SPECS["im_with_speed" if speed_measured else "im_sensorless"]
-    if kind in ("pm_dcm", "series_dcm"):
-        return ROW_SPECS["dcm"]
-    raise ValueError(f"unknown machine kind {kind!r}")
-
-
 def machine_observability_matrix(machine, x, u, u_dot=None,
-                                 speed_measured: bool = False,
-                                 **kwargs) -> ObsMatrixResult:
-    """Numeric observability matrix with the standard row selection."""
-    spec = standard_row_spec(machine, speed_measured)
+                                 speed_measured: bool = False) -> ObsMatrixResult:
+    """Numeric observability matrix with the machine's ``lie_rows``."""
     idx = list(machine.output_indices(speed_measured))
-    return numeric_observability_matrix(machine.f, lambda z: z[idx], x, u,
-                                        u_dot, row_spec=spec, **kwargs)
+    return numeric_observability_matrix(
+        machine.f, lambda z: z[idx], x, u, u_dot,
+        row_spec=machine.lie_rows(speed_measured))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .params import (BrushlessSmParams, DcmParams, ImParams, WrsmParams,
-                     DEFAULT_PARAMS)
+                     DEFAULT_PARAMS, SM_KINDS)
 
 DET_L_FLOOR = 1e-18  # refuse inductance-matrix inversion below this (SI units)
 
@@ -174,9 +174,27 @@ def im_rates_unscaled(p: ImParams):
     return rates
 
 
+def dcm_rates(p: DcmParams):
+    """
+    Derivatives of the DC machine: ``rates(ia, Om, Tl, v)`` returns the
+    rates of the armature current and the speed (the load torque is
+    constant). The series machine's field flux ``K ia`` takes the place of
+    the magnet's ``K``.
+    """
+    L, R, K, J, fv_J = p.L_total, p.R_total, p.K, p.J, p.f_v / p.J
+    series = p.kind == "series"
+
+    def rates(ia, Om, Tl, v):
+        k = K * ia if series else K
+        return ((v - R * ia - k * Om) / L, (k * ia - Tl) / J - fv_J * Om)
+
+    return rates
+
+
 # ---------------------------------------------------------------------------
 # machines: ``output_indices`` names the measured states, so the output map
-# is ``y = x[output_indices()]``
+# is ``y = x[output_indices()]``; ``lie_rows`` lists the (output, derivative
+# order) pairs that the numeric oracle stacks into a square matrix
 
 
 class SynchronousMachine:
@@ -191,16 +209,11 @@ class SynchronousMachine:
     """
 
     def __init__(self, params):
-        if isinstance(params, WrsmParams):
-            self.kind = "wrsm"
-            self.psi_r = 0.0
-        elif isinstance(params, BrushlessSmParams):
-            self.kind = params.kind
-            self.psi_r = params.psi_r
-        else:
+        if not isinstance(params, (WrsmParams, BrushlessSmParams)):
             raise TypeError("params must be WrsmParams or BrushlessSmParams")
         self.params = params
-        self.has_field = self.kind in ("wrsm", "hesm")
+        self.kind, self.psi_r = params.kind, params.psi_r
+        self.has_field = params.has_field
         self.n_currents = 3 if self.has_field else 2
         self.n_states = self.n_currents + 2
         self.n_inputs = self.n_currents
@@ -255,6 +268,10 @@ class SynchronousMachine:
         """The currents; a speed sensor is modeled for the IM only."""
         return tuple(range(self.n_currents))
 
+    def lie_rows(self, speed_measured: bool = False):
+        """Every current, then the rates of the two stator currents."""
+        return tuple((i, 0) for i in range(self.n_currents)) + ((0, 1), (1, 1))
+
 
 class InductionMachine:
     """
@@ -289,6 +306,13 @@ class InductionMachine:
     def output_indices(self, speed_measured: bool = False):
         return (0, 1, 4) if speed_measured else (0, 1)
 
+    def lie_rows(self, speed_measured: bool = False):
+        """The outputs and their rates; sensorless, the currents' second
+        rates too."""
+        if speed_measured:
+            return ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1))
+        return ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
+
 
 class DcMachine:
     """DC machine: permanent-magnet (linear) or series-excited (bilinear).
@@ -300,38 +324,31 @@ class DcMachine:
     def __init__(self, params: DcmParams):
         self.params = params
         self.kind = "pm_dcm" if params.kind == "pm" else "series_dcm"
+        self.rates = dcm_rates(params)
 
     def f(self, x, u):
+        """State derivative. ``x`` may be a single state (n,) or batched (n, m)."""
         x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        single = x.ndim == 1
-        X = x[:, None] if single else x
-        p = self.params
-        ia, Om, Tl = X
-        v = np.broadcast_to(u[:, None] if u.ndim == 1 else u, (1,) + ia.shape)[0]
-        L, R = p.L_total, p.R_total
-        if p.kind == "pm":
-            dia = (v - R * ia - p.K * Om) / L
-            dOm = (p.K * ia - Tl) / p.J - (p.f_v / p.J) * Om
-        else:
-            dia = (v - R * ia - p.K * ia * Om) / L
-            dOm = (p.K * ia * ia - Tl) / p.J - (p.f_v / p.J) * Om
-        out = np.vstack([dia, dOm, np.zeros_like(Tl)])
-        return out[:, 0] if single else out
+        dx = self.rates(*x, *u)
+        return np.array(dx + (np.zeros_like(x[2]),))
 
     def output_indices(self, speed_measured: bool = False):
         """The armature current; a speed sensor is modeled for the IM only."""
         return (0,)
 
+    def lie_rows(self, speed_measured: bool = False):
+        """The armature current and its first two rates."""
+        return ((0, 0), (0, 1), (0, 2))
+
 
 def make_machine(kind: str, params=None):
     """Instantiate the machine model for a kind string."""
+    if kind not in DEFAULT_PARAMS:
+        raise ValueError(f"unknown machine kind {kind!r}")
     if params is None:
         params = DEFAULT_PARAMS[kind]
-    if kind == "wrsm" or kind in ("ipmsm", "spmsm", "syrm", "hesm"):
+    if kind in SM_KINDS:
         return SynchronousMachine(params)
     if kind == "im":
         return InductionMachine(params)
-    if kind in ("pm_dcm", "series_dcm"):
-        return DcMachine(params)
-    raise ValueError(f"unknown machine kind {kind!r}")
+    return DcMachine(params)

@@ -20,7 +20,7 @@ import numpy as np
 from .lie import machine_observability_matrix
 from .machines import (J2, DcMachine, InductionMachine, SynchronousMachine,
                        dq_derivative, park, wrap_angle)
-from .params import BrushlessSmParams, DcmParams, ImParams, WrsmParams
+from .params import DcmParams, ImParams
 
 #: |margin| (rad/s) below which observability is declared "not guaranteed".
 OBS_THRESHOLD_DEFAULT = 2.0
@@ -49,25 +49,14 @@ class ObservabilityVector:
         return float(wrap_angle(math.atan2(self.psi_oq, self.psi_od)))
 
 
-def _sm_kind(params) -> str:
-    if isinstance(params, WrsmParams):
-        return "wrsm"
-    if isinstance(params, BrushlessSmParams):
-        return params.kind
-    raise TypeError("params must be WrsmParams or BrushlessSmParams")
-
-
 def _rotor_flux_const(params, i_f: Optional[float]) -> float:
-    """Rotor-side excitation flux entering the d-axis component."""
-    kind = _sm_kind(params)
-    flux = 0.0
-    if kind in ("wrsm", "hesm"):
-        if i_f is None:
-            raise ValueError(f"{kind} requires the field current i_f")
-        flux += params.M_f * i_f
-    if kind != "wrsm":
-        flux += params.psi_r
-    return flux
+    """Rotor-side excitation flux entering the d-axis component: the
+    magnet's plus the field winding's."""
+    if not params.has_field:
+        return params.psi_r
+    if i_f is None:
+        raise ValueError(f"{params.kind} requires the field current i_f")
+    return params.M_f * i_f + params.psi_r
 
 
 def sm_observability_vector(params, i_sd: float, i_sq: float,
@@ -86,9 +75,8 @@ def sm_observability_vector(params, i_sd: float, i_sq: float,
 def sm_observability_vector_rate(params, i_sd, i_sq, i_f=None,
                                  di_sd=0.0, di_sq=0.0, di_f=0.0):
     """Time derivative of the observability-vector components."""
-    kind = _sm_kind(params)
     dq_rate = params.L_delta * di_sd
-    if kind in ("wrsm", "hesm"):
+    if params.has_field:
         dq_rate += params.M_f * di_f
     return dq_rate, params.sigma_delta * params.L_delta * di_sq
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields
 
 
 BRUSHLESS_KINDS = ("ipmsm", "spmsm", "syrm", "hesm")
+SM_KINDS = ("wrsm",) + BRUSHLESS_KINDS
 DCM_KINDS = ("pm", "series")
 
 
@@ -32,7 +33,14 @@ class WrsmParams:
         Rotor inertia (kg·m²).
     p : int
         Pole-pair count.
+
+    The class attributes ``kind``, ``psi_r`` (no magnet) and ``has_field``
+    say what a wound-rotor machine is; they are not fields.
     """
+
+    kind = "wrsm"
+    psi_r = 0.0
+    has_field = True
 
     R_s: float
     R_f: float
@@ -125,11 +133,16 @@ class BrushlessSmParams:
             raise ValueError("SyRM requires psi_r == 0")
         if self.kind == "ipmsm" and (self.L_d == self.L_q or self.psi_r <= 0):
             raise ValueError("IPMSM requires L_d != L_q and psi_r > 0")
-        if self.kind == "hesm":
+        if self.has_field:
             if min(self.M_f, self.L_f, self.R_f) <= 0:
                 raise ValueError("HESM requires M_f, L_f, R_f > 0")
             if self.sigma_d <= 0:
                 raise ValueError("HESM inductance matrix not positive definite")
+
+    @property
+    def has_field(self) -> bool:
+        """Whether the rotor carries a field winding (HESM only)."""
+        return self.kind == "hesm"
 
     @property
     def L_0(self) -> float:
@@ -317,17 +330,6 @@ SERIES_DCM_DEFAULT = DcmParams(kind="series", R_a=0.5, L_a=5e-3, K=0.05,
                                J=1e-3, f_v=1e-4, R_f=0.5, L_f=15e-3)
 
 
-_PARAM_CLASSES = {
-    "wrsm": WrsmParams,
-    "ipmsm": BrushlessSmParams,
-    "spmsm": BrushlessSmParams,
-    "syrm": BrushlessSmParams,
-    "hesm": BrushlessSmParams,
-    "im": ImParams,
-    "pm_dcm": DcmParams,
-    "series_dcm": DcmParams,
-}
-
 DEFAULT_PARAMS = {
     "wrsm": WRSM_DEFAULT,
     "ipmsm": IPMSM_DEFAULT,
@@ -339,7 +341,7 @@ DEFAULT_PARAMS = {
     "series_dcm": SERIES_DCM_DEFAULT,
 }
 
-MACHINE_KINDS = tuple(_PARAM_CLASSES)
+MACHINE_KINDS = tuple(DEFAULT_PARAMS)
 
 
 def params_to_dict(params) -> dict:
@@ -351,20 +353,17 @@ def params_from_dict(machine_kind: str, data: dict):
     """
     Build the parameter record for ``machine_kind`` from a dict.
 
-    Missing fields fall back to the default parameter set; unknown keys
-    raise ``ValueError``.
+    Missing fields fall back to the default parameter set; unknown keys and
+    a ``kind`` other than the default's raise ``ValueError``.
     """
-    if machine_kind not in _PARAM_CLASSES:
+    if machine_kind not in DEFAULT_PARAMS:
         raise ValueError(f"unknown machine kind {machine_kind!r}")
-    cls = _PARAM_CLASSES[machine_kind]
-    base = params_to_dict(DEFAULT_PARAMS[machine_kind])
-    allowed = set(base)
-    unknown = set(data) - allowed
+    default = DEFAULT_PARAMS[machine_kind]
+    base = params_to_dict(default)
+    unknown = set(data) - set(base)
     if unknown:
         raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-    merged = {**base, **data}
-    if cls is BrushlessSmParams:
-        merged["kind"] = machine_kind
-    if cls is DcmParams:
-        merged["kind"] = "pm" if machine_kind == "pm_dcm" else "series"
-    return cls(**merged)
+    if "kind" in data and data["kind"] != base["kind"]:
+        raise ValueError(f"kind must be {base['kind']!r} for {machine_kind}, "
+                         f"got {data['kind']!r}")
+    return type(default)(**{**base, **data})

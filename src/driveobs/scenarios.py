@@ -47,6 +47,9 @@ def _grid(sc) -> Tuple[int, int, int]:
 
 def _check_scenario(sc, profiles: dict, noise: tuple):
     _grid(sc)
+    if not 0.0 < sc.obs_threshold < math.inf:   # NaN fails too
+        raise ValueError("obs_threshold must be finite and above 0, got "
+                         f"{sc.obs_threshold!r}")
     for name, prof in profiles.items():
         if prof.start > 0.0 or prof.end < sc.t_end - 1e-9:
             raise ValueError(f"{name} must cover [0, t_end]")

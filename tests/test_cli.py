@@ -10,7 +10,9 @@ import pytest
 from driveobs import cli
 from driveobs.cli import main
 from driveobs.config import CONFIG_SCHEMA, bundled_config_path
-from driveobs.params import IM_DEFAULT
+from driveobs.lie import machine_observability_matrix
+from driveobs.machines import make_machine
+from driveobs.params import IM_DEFAULT, MACHINE_KINDS, params_from_dict
 from driveobs.trace import SimTrace
 
 WRSM_COLUMNS = [
@@ -455,6 +457,12 @@ def test_sweep_rejects_malformed_values(tmp_path, capsys, kind, sweep):
     ("simulate", "scenario", "t_end", False),
     ("simulate", "scenario", "seed", 1.5),
     ("simulate", "scenario", "seed", "7"),
+    ("check", "params", "J", float("nan")),
+    ("simulate", "scenario", "noise_std", float("nan")),
+    ("simulate", "scenario", "t_end", float("inf")),
+    ("simulate", "scenario", "obs_threshold", float("nan")),
+    ("simulate", "scenario", "obs_threshold", 0.0),
+    ("simulate", "scenario", "obs_threshold", -1.0),
 ])
 def test_wrongly_typed_values_exit_2(tmp_path, capsys, monkeypatch, command,
                                      where, key, value):
@@ -498,6 +506,8 @@ SEGMENT = {"kind": "constant", "t0": 0.0, "t1": 0.3, "value": 0.0}
     ("im", "dwell", [0.5, None]),
     ("im", "ekf_r_speed", -0.25),
     ("im", "load_profile", {"kind": "constant"}),
+    ("im", "x0_est_phys", [float("nan")] + [0.0] * 5),
+    ("im", "t_end", float("inf")),
 ])
 def test_malformed_lists_and_segments_exit_2(tmp_path, capsys, monkeypatch,
                                              scenario, key, value):
@@ -511,6 +521,59 @@ def test_malformed_lists_and_segments_exit_2(tmp_path, capsys, monkeypatch,
             "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert key in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("omega, where, threshold", [
+    (0.0, "check", 0.0),
+    (0.0, "check", -1.0),
+    (100.0, "option", "nan"),
+    (100.0, "option", "inf"),
+])
+def test_check_threshold_must_be_finite_and_above_0(tmp_path, capsys, omega,
+                                                    where, threshold):
+    # each would otherwise read a verdict: standstill guaranteed at a
+    # threshold of 0 or below, 100 rad/s not guaranteed at a NaN or
+    # infinite one
+    cfg = sm_check_cfg(omega)
+    argv = ["check"]
+    if where == "check":
+        cfg["check"]["threshold"] = threshold
+    else:
+        argv += ["--threshold", threshold]
+    assert main(argv + ["--config", write_cfg(tmp_path, cfg)]) == 2
+    assert "threshold" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("pm_dcm", "bogus"),
+    ("spmsm", 5),
+    ("series_dcm", "pm"),
+    ("ipmsm", "hesm"),
+])
+def test_contradicting_params_kind_exit_2(tmp_path, capsys, kind, value):
+    cfg = write_cfg(tmp_path, {"schema": CONFIG_SCHEMA,
+                               "machine": {"kind": kind,
+                                           "params": {"kind": value}},
+                               "check": {}})
+    assert main(["check", "--config", cfg]) == 2
+    assert "kind" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("kind", MACHINE_KINDS)
+def test_every_machine_kind_from_params_to_check(tmp_path, capsys, kind):
+    machine = make_machine(kind, params_from_dict(kind, {}))
+    rng = np.random.default_rng(3)
+    x = rng.normal(0.0, 1.0, machine.n_states)
+    u = rng.normal(0.0, 1.0, machine.n_inputs)
+    for speed_measured in (False, True) if kind == "im" else (False,):
+        oracle = machine_observability_matrix(machine, x, u,
+                                              speed_measured=speed_measured)
+        assert oracle.matrix.shape == (machine.n_states,) * 2
+        assert oracle.rank == machine.n_states
+    cfg = write_cfg(tmp_path, {"schema": CONFIG_SCHEMA,
+                               "machine": {"kind": kind}, "check": {}})
+    assert main(["check", "--config", cfg]) in (0, 4)
+    assert json.loads(capsys.readouterr().out)["machine"] == kind
 
 
 # ---------------------------------------------------------------------------

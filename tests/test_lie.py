@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from driveobs.lie import (DimensionMismatchError, ROW_SPECS, fd_jacobian,
+from driveobs.lie import (DimensionMismatchError, fd_jacobian,
                           lie_output_derivative,
                           machine_observability_matrix,
                           numeric_observability_matrix)
@@ -117,11 +117,12 @@ def test_first_order_is_current_rate():
 
 
 def test_row_specs_shapes():
-    assert len(ROW_SPECS["sm_field"]) == 5
-    assert len(ROW_SPECS["sm_brushless"]) == 4
-    assert len(ROW_SPECS["im_with_speed"]) == 6
-    assert len(ROW_SPECS["im_sensorless"]) == 6
-    assert len(ROW_SPECS["dcm"]) == 3
+    assert len(make_machine("wrsm").lie_rows()) == 5
+    assert len(make_machine("hesm").lie_rows()) == 5
+    assert len(make_machine("ipmsm").lie_rows()) == 4
+    assert len(make_machine("im").lie_rows(speed_measured=True)) == 6
+    assert len(make_machine("im").lie_rows()) == 6
+    assert len(make_machine("series_dcm").lie_rows()) == 3
 
 
 def test_series_dcm_matrix_entries():

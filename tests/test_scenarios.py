@@ -324,6 +324,25 @@ def test_im_covariance_health_checks_both_filters(monkeypatch):
     assert trace.meta["ekf_p_min_eig_ratio"] < 0
 
 
+def test_im_covariance_symmetry_checks_both_filters(monkeypatch):
+    import driveobs.scenarios as scenarios
+
+    real_update = scenarios.update
+
+    def asymmetric_sensorless(X, P, *args):
+        # make member 1's (the sensorless filter's) covariance asymmetric in
+        # its speed-torque entry, whose variances dwarf 1e-6
+        X, P, innov = real_update(X, P, *args)
+        P = P.copy()
+        P[1, 4, 5] += 1e-6
+        return X, P, innov
+
+    monkeypatch.setattr(scenarios, "update", asymmetric_sensorless)
+    trace = run_im_scenario(short_im_scenario(0.02))
+    # 1e-6 up to the rounding of the sum
+    assert trace.meta["ekf_p_max_asym"] == pytest.approx(1e-6, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # the filter bank against an independent single-filter reference
 
