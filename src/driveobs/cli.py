@@ -52,6 +52,9 @@ def cmd_simulate(args) -> int:
         cfg = load_config(args.config)
         scenario = scenario_from_config(cfg)
         if args.seed is not None:
+            if args.seed < 0:    # numpy seeds are unsigned
+                raise ConfigError(f"--seed must be at least 0, got "
+                                  f"{args.seed}")
             scenario.seed = args.seed
             if scenario.noise_std == 0.0:
                 scenario.noise_std = 1.0
@@ -75,7 +78,7 @@ def cmd_simulate(args) -> int:
             trace = run_im_scenario(scenario)
     except (EkfDivergenceError, SingularInnovationError,
             SingularInductanceError, ProfileDomainError,
-            FloatingPointError) as exc:
+            ArithmeticError) as exc:    # overflow at extreme parameters
         _err(f"simulation failed: {exc}")
         return EXIT_SIM
 
@@ -164,6 +167,9 @@ def cmd_check(args) -> int:
     except (ConfigError, DegenerateFluxError, ValueError) as exc:
         _err(str(exc))
         return EXIT_CONFIG
+    except ArithmeticError as exc:    # overflow at extreme parameters
+        _err(f"numerical failure at this point: {exc}")
+        return EXIT_CONFIG
     out = json_sanitize({"machine": kind, **report.to_dict()})
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK if report.guaranteed else EXIT_NOT_GUARANTEED
@@ -202,6 +208,9 @@ def cmd_sweep(args) -> int:
         header, rows = _sweep_cells(cfg)
     except (ConfigError, DegenerateFluxError) as exc:
         _err(str(exc))
+        return EXIT_CONFIG
+    except ArithmeticError as exc:    # overflow at extreme parameters
+        _err(f"numerical failure on this grid: {exc}")
         return EXIT_CONFIG
     out_dir = Path(args.out)
     if not _make_dir(out_dir):

@@ -150,7 +150,7 @@ def validate_config(cfg: dict):
         DEFAULT_PARAMS[kind]).items()}, "machine.params")
     try:
         params_from_dict(kind, params)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:   # overflow at extremes
         raise ConfigError(f"machine.params: {exc}") from exc
     if "output" in cfg:
         _require_keys(cfg["output"], ("decimate", "plot_script"), "output")

@@ -6,6 +6,11 @@ measurement-selection matrices ``(B, m, n)``. The instance functions are the
 bank's B = 1 case; values in, values out, each step returns a new instance.
 Prediction uses an explicit first-order discretization of the dynamics and
 of the state Jacobian; the covariance update uses the Joseph form.
+
+``predict`` and ``update`` are check-free arithmetic: their callers check
+for overflow (``check_overflow``) and symmetrize the Joseph-form product
+that ``update`` returns, so a bank loop checks once per step and can
+measure the asymmetry that the symmetrization removes.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ class SingularInnovationError(np.linalg.LinAlgError):
 
 
 def _check_spd(M, name: str) -> np.ndarray:
+    """``M`` checked and made exactly symmetric, unchanged if it was."""
     M = np.asarray(M, float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square")
@@ -37,7 +43,7 @@ def _check_spd(M, name: str) -> np.ndarray:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} must be positive definite") from None
-    return M
+    return 0.5 * (M + M.T)
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,8 @@ class EkfConfig:
     """
     EKF tuning: process/measurement noise, initial state and covariance.
 
-    ``Q``, ``R`` and ``P0`` must be symmetric positive definite; larger ``Q``
+    ``Q``, ``R`` and ``P0`` must be symmetric positive definite and are
+    stored as ``0.5 (M + Mᵀ)``, which is exactly symmetric; larger ``Q``
     relative to ``R`` gives a faster, noisier observer. ``Ts`` is the filter
     sample period (s). ``overflow`` bounds any estimate/covariance entry
     before a divergence error is raised.
@@ -118,7 +125,7 @@ def _eye_and_stencil(n: int):
     return eye, D
 
 
-def _check_overflow(x, P, bound: float):
+def check_overflow(x, P, bound: float):
     # a NaN fails the comparison as well as an entry past the bound
     if not (np.abs(x).max() <= bound and np.abs(P).max() <= bound):
         raise EkfDivergenceError(
@@ -145,25 +152,30 @@ def bank(insts, Ys):
     return X, P, Q, C, R, Y
 
 
-def predict(f, X, P, u, Ts: float, Q, bound: float):
+def symmetrized(P):
+    """``0.5 (P + Pᵀ)`` of a bank of covariances; exactly symmetric."""
+    return 0.5 * (P + P.swapaxes(1, 2))
+
+
+def predict(f, X, P, u, Ts: float, Q):
     """Propagate a bank ``X`` (B, n), ``P`` (B, n, n) one sample ``Ts``
-    ahead under the rate ``f`` and the shared input ``u``."""
+    ahead under the rate ``f`` and the shared input ``u``; the returned
+    covariance is exactly symmetric."""
     rate, A = linearize(f, X, u)
     F = _eye_and_stencil(X.shape[1])[0] + Ts * A
-    P = F @ P @ F.swapaxes(1, 2) + Q
-    X, P = X + Ts * rate, 0.5 * (P + P.swapaxes(1, 2))
-    _check_overflow(X, P, bound)
-    return X, P
+    return X + Ts * rate, symmetrized(F @ P @ F.swapaxes(1, 2) + Q)
 
 
-def update(X, P, Y, C, R, bound: float):
-    """Correct a bank ``X`` (B, n), ``P`` (B, n, n) with measurements ``Y``
-    (B, m) of the states that ``C`` (B, m, n) selects; returns ``(X, P,
-    innovations)``."""
+def update(X, P, Y, C, R):
+    """Correct a bank ``X`` (B, n), symmetric ``P`` (B, n, n) with
+    measurements ``Y`` (B, m) of the states that ``C`` (B, m, n) selects;
+    returns ``(X, Joseph-form P, innovations)``. That ``P`` is not yet
+    symmetrized: the caller passes it through ``symmetrized``. With ``P``
+    and ``R`` symmetric and ``C`` a 0/1 selection, the innovation
+    covariance ``S`` is exactly symmetric."""
     innovation = Y - (C @ X[:, :, None])[:, :, 0]
     PCt = P @ C.swapaxes(1, 2)
     S = C @ PCt + R
-    S = 0.5 * (S + S.swapaxes(1, 2))
     try:
         np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
@@ -172,17 +184,15 @@ def update(X, P, Y, C, R, bound: float):
     K = np.linalg.solve(S, PCt.swapaxes(1, 2)).swapaxes(1, 2)
     IKC = _eye_and_stencil(X.shape[1])[0] - K @ C
     P = IKC @ P @ IKC.swapaxes(1, 2) + K @ R @ K.swapaxes(1, 2)
-    X = X + (K @ innovation[:, :, None])[:, :, 0]
-    P = 0.5 * (P + P.swapaxes(1, 2))
-    _check_overflow(X, P, bound)
-    return X, P, innovation
+    return X + (K @ innovation[:, :, None])[:, :, 0], P, innovation
 
 
 def ekf_predict(inst: EkfInstance, u) -> EkfInstance:
     """Propagate estimate and covariance one sample ahead."""
     cfg = inst.config
     X, P = predict(inst.machine.f, inst.x[None], inst.P[None], u, cfg.Ts,
-                   cfg.Q, cfg.overflow)
+                   cfg.Q)
+    check_overflow(X, P, cfg.overflow)
     return replace(inst, x=X[0], P=P[0])
 
 
@@ -191,8 +201,9 @@ def ekf_update(inst: EkfInstance, y) -> Tuple[EkfInstance, np.ndarray]:
     innovation)."""
     cfg, C = inst.config, np.eye(inst.x.size)[inst.outputs][None]
     X, P, innovation = update(inst.x[None], inst.P[None],
-                              np.asarray(y, float)[None], C, cfg.R[None],
-                              cfg.overflow)
+                              np.asarray(y, float)[None], C, cfg.R[None])
+    P = symmetrized(P)
+    check_overflow(X, P, cfg.overflow)
     return replace(inst, x=X[0], P=P[0]), innovation[0]
 
 

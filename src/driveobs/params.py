@@ -58,6 +58,10 @@ class WrsmParams:
             raise ValueError("p must be >= 1")
         if not self.L_d >= self.L_q > 0:
             raise ValueError("inductances must satisfy L_d >= L_q > 0")
+        if not self.L_delta > 0:
+            raise ValueError("a wound-rotor machine needs L_d > L_q: its "
+                             "saliency factor sigma_delta divides by "
+                             "L_d - L_q")
         if self.sigma_d <= 0:
             raise ValueError(
                 "inductance matrix not positive definite (sigma_d <= 0)")

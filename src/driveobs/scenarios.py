@@ -17,7 +17,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ekf import EkfConfig, bank, make_ekf, predict, update
+from .ekf import (EkfConfig, SingularInnovationError, bank, check_overflow,
+                  make_ekf, predict, symmetrized, update)
 from .machines import (InductionMachine, SynchronousMachine, im_rates,
                        im_rates_unscaled, park, wrap_angle)
 from .observability import (OBS_THRESHOLD_DEFAULT, im_condition,
@@ -50,6 +51,8 @@ def _check_scenario(sc, profiles: dict, noise: tuple):
     if not 0.0 < sc.obs_threshold < math.inf:   # NaN fails too
         raise ValueError("obs_threshold must be finite and above 0, got "
                          f"{sc.obs_threshold!r}")
+    if sc.seed is not None and sc.seed < 0:    # numpy seeds are unsigned
+        raise ValueError(f"seed must be at least 0, got {sc.seed!r}")
     for name, prof in profiles.items():
         if prof.start > 0.0 or prof.end < sc.t_end - 1e-9:
             raise ValueError(f"{name} must cover [0, t_end]")
@@ -99,6 +102,8 @@ class WrsmScenario:
         _check_scenario(self, {"speed_profile": self.speed_profile,
                                "i_f_profile": self.i_f_profile},
                         ("ekf_q_diag", "ekf_r_diag", "ekf_p0_diag"))
+        if not self.v_limit > 0:    # NaN fails too
+            raise ValueError(f"v_limit must be above 0, got {self.v_limit!r}")
 
 
 def default_wrsm_speed_profile() -> SignalProfile:
@@ -247,6 +252,7 @@ def _integrate_im(sc: ImScenario, scaled: bool):
     ang_prev = None
     omega_s_filt = 0.0
     alpha = dt / (sc.omega_s_filter_tau + dt)
+    h2, h6 = 0.5 * dt, dt / 6.0     # RK4 stage and weight factors
     ia = ib = pa = pb = we = 0.0
     for c0, t_c, tm_c, t2_c in _chunks(n_steps, dt):
         load = sc.load_profile.sample(t_c)[0].tolist()
@@ -257,7 +263,7 @@ def _integrate_im(sc: ImScenario, scaled: bool):
             s = c0 + j
             Tr, va, vb = load[j], va_c[j], vb_c[j]
 
-            if ang_prev is not None or (pa, pb) != (0.0, 0.0):
+            if ang_prev is not None or pa != 0.0 or pb != 0.0:
                 ang = math.atan2(pb, pa)
                 if ang_prev is not None:
                     delta = ang - ang_prev
@@ -274,22 +280,22 @@ def _integrate_im(sc: ImScenario, scaled: bool):
                 omega_s[k] = omega_s_filt
 
             if s < n_steps:
-                h = dt
                 vam, vbm, va2, vb2 = va_m[j], vb_m[j], va_2[j], vb_2[j]
-                k1 = rates(ia, ib, pa, pb, we, Tr, va, vb)
-                k2 = rates(ia + 0.5 * h * k1[0], ib + 0.5 * h * k1[1],
-                           pa + 0.5 * h * k1[2], pb + 0.5 * h * k1[3],
-                           we + 0.5 * h * k1[4], Tr, vam, vbm)
-                k3 = rates(ia + 0.5 * h * k2[0], ib + 0.5 * h * k2[1],
-                           pa + 0.5 * h * k2[2], pb + 0.5 * h * k2[3],
-                           we + 0.5 * h * k2[4], Tr, vam, vbm)
-                k4 = rates(ia + h * k3[0], ib + h * k3[1], pa + h * k3[2],
-                           pb + h * k3[3], we + h * k3[4], Tr, va2, vb2)
-                ia += (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                ib += (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-                pa += (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-                pb += (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-                we += (h / 6.0) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
+                a1, b1, c1, d1, e1 = rates(ia, ib, pa, pb, we, Tr, va, vb)
+                a2, b2, c2, d2, e2 = rates(
+                    ia + h2 * a1, ib + h2 * b1, pa + h2 * c1, pb + h2 * d1,
+                    we + h2 * e1, Tr, vam, vbm)
+                a3, b3, c3, d3, e3 = rates(
+                    ia + h2 * a2, ib + h2 * b2, pa + h2 * c2, pb + h2 * d2,
+                    we + h2 * e2, Tr, vam, vbm)
+                a4, b4, c4, d4, e4 = rates(
+                    ia + dt * a3, ib + dt * b3, pa + dt * c3, pb + dt * d3,
+                    we + dt * e3, Tr, va2, vb2)
+                ia += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+                ib += h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                pa += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+                pb += h6 * (d1 + 2 * d2 + 2 * d3 + d4)
+                we += h6 * (e1 + 2 * e2 + 2 * e3 + e4)
     return times, X, V, omega_s_cmd, omega_s
 
 
@@ -333,28 +339,37 @@ def _run_filter(insts, U: np.ndarray, Ys):
     ``k - 1`` and corrects with the measurements ``Ys[b]`` of row ``k``.
     Returns the estimates ``(N, B, n)`` and innovations ``(N, B, m)`` (row
     0: the initial estimates, NaN innovations; padded outputs read 0) and
-    each member's health ``(steps, max |P - P^T|, min eigenvalue ratio
-    checked every 100 steps)``.
+    each member's health ``(steps, max |P - P^T|, min eigenvalue ratio)``.
+    Overflow is checked after every step; the asymmetry of the Joseph-form
+    covariance before its symmetrization and the eigenvalue ratio of the
+    symmetrized one are sampled every 100 steps.
     """
     f, cfg = insts[0].machine.f, insts[0].config
+    Ts, bound = cfg.Ts, cfg.overflow
     X, P, Q, C, R, Y = bank(insts, Ys)
     n, B, m = Y.shape
     est = np.empty((n,) + X.shape)
     innov = np.full((n, B, m), math.nan)
     est[0] = X
-    # asym: the entrywise running maximum of |P - P^T|
-    asym, eig_ratio = np.zeros_like(P), np.full(B, math.inf)
-    for k in range(1, n):
-        X, P = predict(f, X, P, U[k - 1].tolist(), cfg.Ts, Q, cfg.overflow)
-        X, P, innov[k] = update(X, P, Y[k], C, R, cfg.overflow)
+    asym, eig_ratio = np.zeros(B), np.full(B, math.inf)
+    for k, u in enumerate(U[:n - 1].tolist(), 1):
+        X, P = predict(f, X, P, u, Ts, Q)
+        try:
+            X, P_joseph, innov[k] = update(X, P, Y[k], C, R)
+        except SingularInnovationError:
+            check_overflow(X, P, bound)    # a blow-up reads as divergence
+            raise
+        P = symmetrized(P_joseph)
+        check_overflow(X, P, bound)
         est[k] = X
-        np.maximum(asym, np.abs(P - P.swapaxes(1, 2)), out=asym)
         if k % 100 == 0:
+            np.maximum(asym, np.abs(P_joseph - P_joseph.swapaxes(1, 2)).max(
+                axis=(1, 2)), out=asym)
             eig = np.linalg.eigvalsh(P)
             eig_ratio = np.minimum(
                 eig_ratio, eig[:, 0] / np.maximum(eig[:, -1], 1e-300))
     return est, innov, [(n - 1, a, r) for a, r in zip(
-        asym.max(axis=(1, 2)).tolist(), eig_ratio.tolist())]
+        asym.tolist(), eig_ratio.tolist())]
 
 
 def _scenario_trace(sc, cols: dict, channel: str, health, laps,
@@ -431,6 +446,7 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     theta_o_prev = None
     omega_o_filt = 0.0
     alpha = dt / (sc.omega_o_filter_tau + dt)
+    h2, h6 = 0.5 * dt, dt / 6.0     # RK4 stage and weight factors
 
     sD_LD = p.sigma_delta * p.L_delta
     LD, Mf = p.L_delta, p.M_f
@@ -478,19 +494,19 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
 
             if s < n_steps:
                 # RK4 on the currents; speed and position follow the profile
-                h = dt
                 wm, thm, w2, th2 = w_m[j], th_m[j], w_2[j], th_2[j]
                 cm, sm = math.cos(thm), math.sin(thm)
-                k1 = rates(ia, ib, i_f, w, c1, s1, va, vb, v_f)
-                k2 = rates(ia + 0.5 * h * k1[0], ib + 0.5 * h * k1[1],
-                           i_f + 0.5 * h * k1[2], wm, cm, sm, va, vb, v_f)
-                k3 = rates(ia + 0.5 * h * k2[0], ib + 0.5 * h * k2[1],
-                           i_f + 0.5 * h * k2[2], wm, cm, sm, va, vb, v_f)
-                k4 = rates(ia + h * k3[0], ib + h * k3[1], i_f + h * k3[2],
-                           w2, math.cos(th2), math.sin(th2), va, vb, v_f)
-                ia += (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-                ib += (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-                i_f += (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+                a1, b1, f1 = rates(ia, ib, i_f, w, c1, s1, va, vb, v_f)
+                a2, b2, f2 = rates(ia + h2 * a1, ib + h2 * b1, i_f + h2 * f1,
+                                   wm, cm, sm, va, vb, v_f)
+                a3, b3, f3 = rates(ia + h2 * a2, ib + h2 * b2, i_f + h2 * f2,
+                                   wm, cm, sm, va, vb, v_f)
+                a4, b4, f4 = rates(ia + dt * a3, ib + dt * b3, i_f + dt * f3,
+                                   w2, math.cos(th2), math.sin(th2), va, vb,
+                                   v_f)
+                ia += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                ib += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                i_f += h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
 
     laps.append(time.perf_counter())
     cols = dict(zip(_WRSM_PLANT, rows.T))

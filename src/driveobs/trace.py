@@ -9,6 +9,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+CSV_ROWS = 4096     # trace rows stacked and written at a time
+
 
 @dataclass
 class SimTrace:
@@ -44,14 +46,19 @@ class SimTrace:
         return (self.t >= t0) & (self.t <= t1)
 
     def to_csv(self, path, decimate: int = 1):
-        """Write the trace; one header line, '.' decimal, comma separated."""
+        """Write the trace; one header line, '.' decimal, comma separated.
+        Rows are stacked and written ``CSV_ROWS`` at a time, so the file
+        never needs a copy of the whole table."""
         if decimate < 1:
             raise ValueError("decimate must be >= 1")
         names = self.column_names
-        data = np.column_stack([self.columns[n][::decimate] for n in names])
+        cols = [self.columns[n][::decimate] for n in names]
         with open(path, "w", encoding="ascii") as fh:
             fh.write(",".join(names) + "\n")
-            np.savetxt(fh, data, fmt="%.12g", delimiter=",")
+            for r0 in range(0, len(cols[0]), CSV_ROWS):
+                np.savetxt(fh, np.column_stack(
+                    [c[r0:r0 + CSV_ROWS] for c in cols]), fmt="%.12g",
+                    delimiter=",")
 
     @classmethod
     def from_csv(cls, path, meta: dict | None = None) -> "SimTrace":

@@ -13,7 +13,9 @@ from driveobs.config import CONFIG_SCHEMA, bundled_config_path
 from driveobs.lie import machine_observability_matrix
 from driveobs.machines import make_machine
 from driveobs.params import IM_DEFAULT, MACHINE_KINDS, params_from_dict
-from driveobs.trace import SimTrace
+from driveobs.trace import CSV_ROWS, SimTrace
+
+RNG = np.random.default_rng(3)
 
 WRSM_COLUMNS = [
     "t", "omega", "theta", "i_sa", "i_sb", "i_f", "i_sd", "i_sq",
@@ -150,6 +152,30 @@ def test_simulate_decimation(tmp_path):
     t1 = SimTrace.from_csv(tmp_path / "o1" / "trace.csv")
     assert len(t1.t) == 301
     assert t1.t[1] == pytest.approx(1e-3)
+
+
+def test_to_csv_streams_the_same_bytes(tmp_path):
+    # longer than one block of rows, decimated by a step that does not
+    # divide the block
+    n = 3 * CSV_ROWS + 7
+    cols = {"t": np.arange(n) * 1e-4, "x": RNG.normal(0.0, 1e3, n),
+            "flag": (np.arange(n) % 5 == 0).astype(float)}
+    SimTrace(columns=cols).to_csv(tmp_path / "trace.csv", decimate=3)
+    with open(tmp_path / "one_shot.csv", "w", encoding="ascii") as fh:
+        fh.write("t,x,flag\n")
+        np.savetxt(fh, np.column_stack([c[::3] for c in cols.values()]),
+                   fmt="%.12g", delimiter=",")
+    assert (tmp_path / "trace.csv").read_bytes() == \
+        (tmp_path / "one_shot.csv").read_bytes()
+
+
+def test_simulate_rejects_negative_seed_option(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, short_im_cfg())
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
+               "--seed", "-1"])
+    assert rc == 2
+    assert "--seed" in assert_one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, cfg_decimate",
@@ -457,6 +483,7 @@ def test_sweep_rejects_malformed_values(tmp_path, capsys, kind, sweep):
     ("simulate", "scenario", "t_end", False),
     ("simulate", "scenario", "seed", 1.5),
     ("simulate", "scenario", "seed", "7"),
+    ("simulate", "scenario", "seed", -1),
     ("check", "params", "J", float("nan")),
     ("simulate", "scenario", "noise_std", float("nan")),
     ("simulate", "scenario", "t_end", float("inf")),
@@ -482,6 +509,37 @@ def test_wrongly_typed_values_exit_2(tmp_path, capsys, monkeypatch, command,
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert key in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command, kind, where, value, code", [
+    # sigma_delta divides by L_d - L_q
+    ("check", "wrsm", {"params": {"L_2": 0.0}}, None, 2),
+    # the parameter checks square M_f
+    ("check", "wrsm", {"params": {"M_f": 5.7e297}}, None, 2),
+    # slip_frequency squares psi_rd
+    ("check", "im", {"check": {"psi_rd": 1e300}}, None, 2),
+    ("check", "pm_dcm", {"params": {"K": 1e299}}, None, 2),
+    # the PI limits are -v_limit and v_limit
+    ("simulate", "wrsm", {"scenario": {"v_limit": 0.0}}, "v_limit", 2),
+    # im_condition squares tau_r * omega_e
+    ("simulate", "im", {"params": {"R_r": 1.5e-303},
+                        "scenario": {"t_end": 2e-3}}, None, 3),
+])
+def test_extreme_values_exit_without_traceback(tmp_path, capsys, command,
+                                               kind, where, value, code):
+    cfg = {"schema": CONFIG_SCHEMA, "machine": {"kind": kind}, "check": {}}
+    if command == "simulate":
+        cfg = short_wrsm_cfg() if kind == "wrsm" else short_im_cfg()
+    for block, entries in where.items():
+        target = cfg["machine"] if block == "params" else cfg
+        target.setdefault(block, {}).update(entries)
+    argv = [command, "--config", write_cfg(tmp_path, cfg)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    message = assert_one_line_error(capsys)
+    if value is not None:
+        assert value in message
 
 
 SEGMENT = {"kind": "constant", "t0": 0.0, "t1": 0.3, "value": 0.0}

@@ -330,8 +330,9 @@ def test_im_covariance_symmetry_checks_both_filters(monkeypatch):
     real_update = scenarios.update
 
     def asymmetric_sensorless(X, P, *args):
-        # make member 1's (the sensorless filter's) covariance asymmetric in
-        # its speed-torque entry, whose variances dwarf 1e-6
+        # make member 1's (the sensorless filter's) Joseph-form covariance
+        # asymmetric in its speed-torque entry, whose variances dwarf 1e-6;
+        # the symmetrization after the update removes it again
         X, P, innov = real_update(X, P, *args)
         P = P.copy()
         P[1, 4, 5] += 1e-6
@@ -352,7 +353,8 @@ def reference_filter(inst, U, Y):
     One filter stepped on its own with the update written on slices of the
     measured states (``x[idx]``, ``P[ix]``, ``P[:, idx]``) and the
     Jacobian's perturbed states built by repeat and index; returns the
-    estimates, the innovations of rows 1.. and the covariance health.
+    estimates, the innovations of rows 1.. and the covariance health, both
+    parts sampled every 100 steps.
     """
     f, cfg, idx = inst.machine.f, inst.config, inst.outputs
     ix, eye, n = np.ix_(idx, idx), np.eye(inst.x.size), inst.x.size
@@ -376,11 +378,12 @@ def reference_filter(inst, U, Y):
         IKC = eye.copy()
         IKC[:, idx] -= K
         P = IKC @ P @ IKC.T + K @ cfg.R @ K.T
+        if k % 100 == 0:    # the asymmetry the symmetrization removes
+            asym = max(asym, np.abs(P - P.T).max())
         x, P = x + K @ nu, 0.5 * (P + P.T)
 
         est.append(x)
         innov.append(nu)
-        asym = max(asym, np.abs(P - P.T).max())
         if k % 100 == 0:
             eig = np.linalg.eigvalsh(P)
             eig_ratio = min(eig_ratio, eig[0] / max(eig[-1], 1e-300))
@@ -455,6 +458,39 @@ def test_filter_bank_divergence_in_one_member(where, value):
         Ys[1] = Ys[1].copy()
         Ys[1][50, 0] = value
     _run_filter([insts[0]], U, Ys[:1])
+    with pytest.raises(EkfDivergenceError):
+        _run_filter(insts, U, Ys)
+
+
+def test_filter_bank_divergence_in_predict_alone():
+    # the bound sits just above P0, so the first predict exceeds it; the
+    # overflow check after the update must still see the blow-up
+    insts, U, Ys = im_bank(0.005)
+    cfg = insts[0].config
+    insts[0] = dataclasses.replace(insts[0], config=dataclasses.replace(
+        cfg, overflow=np.abs(cfg.P0).max() * (1.0 + 1e-9)))
+    with pytest.raises(EkfDivergenceError):
+        _run_filter(insts, U, Ys)
+
+
+def test_filter_bank_nan_prediction_rejected_by_cholesky(monkeypatch):
+    # a LAPACK whose Cholesky rejects a NaN innovation covariance (the
+    # OpenBLAS 0.3.31 of the numpy 2.4 wheels lets it through): the blow-up
+    # still reads as divergence
+    import driveobs.scenarios as scenarios
+
+    real_update = scenarios.update
+
+    def strict_update(X, P, *args):
+        if np.isnan(P).any():
+            raise SingularInnovationError("not positive definite")
+        return real_update(X, P, *args)
+
+    monkeypatch.setattr(scenarios, "update", strict_update)
+    insts, U, Ys = im_bank(0.005)
+    x = insts[1].x.copy()
+    x[2] = math.nan
+    insts[1] = dataclasses.replace(insts[1], x=x)
     with pytest.raises(EkfDivergenceError):
         _run_filter(insts, U, Ys)
 
