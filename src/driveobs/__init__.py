@@ -16,17 +16,15 @@ from .machines import (DcMachine, InductionMachine, SingularInductanceError,
 from .lie import (DimensionMismatchError, ObsMatrixResult,
                   machine_observability_matrix, numeric_observability_matrix)
 from .observability import (DegenerateFluxError, ObservabilityReport,
-                            ObservabilityVector, OBS_THRESHOLD_DEFAULT,
-                            dcm_determinant, flux_angular_velocity,
-                            im_condition, im_determinant,
-                            im_steady_determinant, observability_report,
-                            sensorless_oracle_scale, slip_frequency,
-                            sm_condition_margin, sm_condition_ratio,
-                            sm_determinant, sm_observability_vector,
-                            sm_omega_o, unobservability_line)
+                            OBS_THRESHOLD_DEFAULT, dcm_determinant,
+                            flux_angular_velocity, im_condition,
+                            im_determinant, im_steady_determinant,
+                            observability_report, slip_frequency,
+                            sm_condition_ratio, sm_determinant,
+                            sm_observability_vector, sm_omega_o,
+                            unobservability_line)
 from .ekf import (EkfConfig, EkfDivergenceError, EkfInstance,
-                  SingularInnovationError, ekf_predict, ekf_step, ekf_update,
-                  make_ekf)
+                  SingularInnovationError, ekf_predict, ekf_update, make_ekf)
 from .rk4 import rk4_integrate, rk4_step
 from .profiles import PiController, ProfileDomainError, Segment, SignalProfile
 from .trace import SimTrace, violated_intervals

@@ -277,10 +277,3 @@ def scenario_from_config(cfg: dict):
 def bundled_config_path(name: str):
     """Filesystem path of a packaged example config."""
     return resources.files("driveobs").joinpath("configs", name)
-
-
-def load_bundled_config(name: str) -> dict:
-    with bundled_config_path(name).open("r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    validate_config(cfg)
-    return cfg

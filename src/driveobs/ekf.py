@@ -177,10 +177,13 @@ def update(X, P, Y, C, R):
     PCt = P @ C.swapaxes(1, 2)
     S = C @ PCt + R
     try:
-        np.linalg.cholesky(S)
+        # some LAPACKs return a NaN factor of a NaN matrix without raising
+        ok = np.isfinite(np.linalg.cholesky(S)).all()
     except np.linalg.LinAlgError:
+        ok = False
+    if not ok:
         raise SingularInnovationError(
-            "innovation covariance not positive definite") from None
+            "innovation covariance not positive definite")
     K = np.linalg.solve(S, PCt.swapaxes(1, 2)).swapaxes(1, 2)
     IKC = _eye_and_stencil(X.shape[1])[0] - K @ C
     P = IKC @ P @ IKC.swapaxes(1, 2) + K @ R @ K.swapaxes(1, 2)
@@ -205,8 +208,3 @@ def ekf_update(inst: EkfInstance, y) -> Tuple[EkfInstance, np.ndarray]:
     P = symmetrized(P)
     check_overflow(X, P, cfg.overflow)
     return replace(inst, x=X[0], P=P[0]), innovation[0]
-
-
-def ekf_step(inst: EkfInstance, u, y) -> Tuple[EkfInstance, np.ndarray]:
-    """One predict-then-correct cycle."""
-    return ekf_update(ekf_predict(inst, u), y)

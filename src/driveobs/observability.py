@@ -19,7 +19,7 @@ import numpy as np
 
 from .lie import machine_observability_matrix
 from .machines import (J2, DcMachine, InductionMachine, SynchronousMachine,
-                       dq_derivative, park, wrap_angle)
+                       dq_derivative, park)
 from .params import DcmParams, ImParams
 
 #: |margin| (rad/s) below which observability is declared "not guaranteed".
@@ -34,51 +34,28 @@ class DegenerateFluxError(ValueError):
 # synchronous machines
 
 
-@dataclass(frozen=True)
-class ObservabilityVector:
-    """Rotor-frame flux-like vector governing SM observability."""
-
-    psi_od: float
-    psi_oq: float
-
-    @property
-    def theta_o(self) -> float:
-        """Vector angle in the rotor frame, (-pi, pi]; NaN for a zero vector."""
-        if self.psi_od == 0.0 and self.psi_oq == 0.0:
-            return math.nan
-        return float(wrap_angle(math.atan2(self.psi_oq, self.psi_od)))
-
-
-def _rotor_flux_const(params, i_f: Optional[float]) -> float:
-    """Rotor-side excitation flux entering the d-axis component: the
-    magnet's plus the field winding's."""
-    if not params.has_field:
-        return params.psi_r
-    if i_f is None:
-        raise ValueError(f"{params.kind} requires the field current i_f")
-    return params.M_f * i_f + params.psi_r
-
-
-def sm_observability_vector(params, i_sd: float, i_sq: float,
-                            i_f: Optional[float] = None) -> ObservabilityVector:
+def sm_observability_vector(params, i_sd, i_sq, i_f=None, di_sd=0.0,
+                            di_sq=0.0, di_f=0.0):
     """
-    Observability vector of a synchronous machine in the rotor frame.
+    Observability vector of a synchronous machine in the rotor frame and its
+    rate, ``(psi_od, psi_oq, dpsi_od, dpsi_oq)``, from the rotor-frame
+    currents and their total derivatives.
 
-    d-component: saliency flux plus total rotor excitation flux (active
-    flux); q-component: saliency flux weighted by the field-leakage factor.
+    d-component: saliency flux plus the rotor excitation flux of the magnet
+    and the field winding (active flux); q-component: the q current through
+    ``L_delta - field_coupling``, the saliency less what the field winding
+    takes off the d axis.
     """
-    psi_od = params.L_delta * i_sd + _rotor_flux_const(params, i_f)
-    psi_oq = params.sigma_delta * params.L_delta * i_sq
-    return ObservabilityVector(psi_od=psi_od, psi_oq=psi_oq)
-
-
-def sm_observability_vector_rate(params, i_sd, i_sq, i_f=None,
-                                 di_sd=0.0, di_sq=0.0, di_f=0.0):
-    """Time derivative of the observability-vector components."""
-    dq_rate = params.L_delta * di_sd
+    LD = params.L_delta
+    L_oq = LD - params.field_coupling
     if params.has_field:
-        dq_rate += params.M_f * di_f
-    return dq_rate, params.sigma_delta * params.L_delta * di_sq
+        if i_f is None:
+            raise ValueError(f"{params.kind} requires the field current i_f")
+        psi_od = LD * i_sd + (params.M_f * i_f + params.psi_r)
+        dpsi_od = LD * di_sd + params.M_f * di_f
+    else:
+        psi_od, dpsi_od = LD * i_sd + params.psi_r, LD * di_sd
+    return psi_od, L_oq * i_sq, dpsi_od, L_oq * di_sq
 
 
 def sm_omega_o(params, i_sd, i_sq, i_f=None, di_sd=0.0, di_sq=0.0,
@@ -88,10 +65,9 @@ def sm_omega_o(params, i_sd, i_sq, i_f=None, di_sd=0.0, di_sq=0.0,
 
     NaN when the vector is zero (angle undefined).
     """
-    vec = sm_observability_vector(params, i_sd, i_sq, i_f)
-    dd, dq = sm_observability_vector_rate(params, i_sd, i_sq, i_f,
-                                          di_sd, di_sq, di_f)
-    return flux_angular_velocity((vec.psi_od, vec.psi_oq), (dd, dq))
+    psi_od, psi_oq, dd, dq = sm_observability_vector(
+        params, i_sd, i_sq, i_f, di_sd, di_sq, di_f)
+    return flux_angular_velocity((psi_od, psi_oq), (dd, dq))
 
 
 def sm_determinant(params, omega: float, i_sd: float, i_sq: float,
@@ -101,18 +77,16 @@ def sm_determinant(params, omega: float, i_sd: float, i_sq: float,
     Closed-form determinant of the SM observability matrix.
 
     Operating-point current derivatives are *total* rotor-frame derivatives
-    (see ``dq_derivative``); pass zeros for a steady state. The wound-rotor
-    leakage factors collapse to 1 for brushless machines, so one expression
-    covers every kind.
+    (see ``dq_derivative``); pass zeros for a steady state. The field
+    coupling is 0 for brushless machines, so one expression covers every
+    kind.
     """
-    sd, sD, LD = params.sigma_d, params.sigma_delta, params.L_delta
-    Ld, Lq = params.L_d, params.L_q
-    psi_od = LD * i_sd + _rotor_flux_const(params, i_f)
-    d_flux_rate, _ = sm_observability_vector_rate(params, i_sd, i_sq, i_f,
-                                                  di_sd, di_sq, di_f)
-    speed_term = (psi_od**2 + sD * LD**2 * i_sq**2) / (sd * Ld * Lq)
-    transient_term = (sD / sd) * (LD / (Ld * Lq)) * (
-        d_flux_rate * i_sq - psi_od * di_sq)
+    psi_od, _, dpsi_od, _ = sm_observability_vector(
+        params, i_sd, i_sq, i_f, di_sd, di_sq, di_f)
+    LD, fc = params.L_delta, params.field_coupling
+    L_oq, den = LD - fc, (params.L_d - fc) * params.L_q
+    speed_term = (psi_od**2 + L_oq * LD * i_sq**2) / den
+    transient_term = L_oq / den * (dpsi_od * i_sq - psi_od * di_sq)
     return speed_term * omega + transient_term
 
 
@@ -124,16 +98,12 @@ def sm_condition_ratio(params, i_sd, i_sq, i_f=None) -> float:
     identically 1 for brushless machines and NaN when both the d-component
     and i_sq vanish.
     """
-    sD, LD = params.sigma_delta, params.L_delta
-    psi_od = LD * i_sd + _rotor_flux_const(params, i_f)
-    num = psi_od**2 + sD**2 * LD**2 * i_sq**2
-    den = psi_od**2 + sD * LD**2 * i_sq**2
+    psi_od = sm_observability_vector(params, i_sd, i_sq, i_f)[0]
+    LD = params.L_delta
+    L_oq = LD - params.field_coupling
+    num = psi_od**2 + L_oq * L_oq * i_sq**2
+    den = psi_od**2 + L_oq * LD * i_sq**2
     return num / np.where(den == 0.0, math.nan, den)   # NaN where den == 0
-
-
-def sm_condition_margin(omega: float, omega_o: float) -> float:
-    """Observability margin: rotor speed minus vector angular velocity."""
-    return omega - omega_o
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +135,6 @@ def im_determinant(params: ImParams, mode: str, state, state_dot) -> float:
     cross = dpa * pb - dpb * pa
     return (params.p / params.J) * (kr**2 / tr**2) * (
         tr * dwe * (pa * pa + pb * pb) - (1.0 + tr**2 * we**2) * cross)
-
-
-def sensorless_oracle_scale(params: ImParams) -> float:
-    """
-    Constant relating the scaled-coordinate numeric determinant to the
-    closed form.
-
-    The scaled-model observability matrix already absorbs the current/flux
-    rescaling, so the factor is exactly 1; it is kept explicit (and asserted
-    state-independent in the tests) as part of the report contract.
-    """
-    return 1.0
 
 
 def flux_angular_velocity(psi, dpsi) -> float:
@@ -318,7 +276,7 @@ class ObservabilityReport:
     margin: float
     rank: int
     condition_number: float
-    oracle_scale: float = 1.0
+    oracle_scale: float = 1.0   # the scaled IM oracle needs no rescaling
     psi_od: float = math.nan
     psi_oq: float = math.nan
     guaranteed: bool = False
@@ -351,7 +309,6 @@ def observability_report(machine, x, u, u_dot=None,
     u = np.asarray(u, float)
     xdot = machine.f(x, u)
     psi_od = psi_oq = math.nan
-    oracle_scale = 1.0
 
     if isinstance(machine, SynchronousMachine):
         k = machine.n_currents
@@ -360,13 +317,11 @@ def observability_report(machine, x, u, u_dot=None,
         di_dq = dq_derivative(xdot[:2], i_dq, omega, theta)
         i_f = x[2] if machine.has_field else None
         di_f = xdot[2] if machine.has_field else 0.0
-        det = sm_determinant(machine.params, omega, i_dq[0], i_dq[1], i_f,
-                             di_dq[0], di_dq[1], di_f)
-        omega_o = sm_omega_o(machine.params, i_dq[0], i_dq[1], i_f,
-                             di_dq[0], di_dq[1], di_f)
-        margin = sm_condition_margin(omega, omega_o)
-        vec = sm_observability_vector(machine.params, i_dq[0], i_dq[1], i_f)
-        psi_od, psi_oq = vec.psi_od, vec.psi_oq
+        currents = (i_dq[0], i_dq[1], i_f, di_dq[0], di_dq[1], di_f)
+        psi_od, psi_oq, dd, dq = sm_observability_vector(machine.params,
+                                                         *currents)
+        det = sm_determinant(machine.params, omega, *currents)
+        margin = omega - flux_angular_velocity((psi_od, psi_oq), (dd, dq))
         guaranteed = abs(margin) >= threshold
     elif isinstance(machine, InductionMachine):
         mode = "with_speed" if speed_measured else "sensorless"
@@ -379,7 +334,6 @@ def observability_report(machine, x, u, u_dot=None,
             omega_s = flux_angular_velocity(x[2:4] / kr, xdot[2:4] / kr)
             margin = im_condition(machine.params, x[4], xdot[4], omega_s)
             guaranteed = abs(margin) >= threshold
-            oracle_scale = sensorless_oracle_scale(machine.params)
     elif isinstance(machine, DcMachine):
         det = dcm_determinant(machine.params, x[0])
         margin = math.nan
@@ -391,11 +345,10 @@ def observability_report(machine, x, u, u_dot=None,
                                           speed_measured=speed_measured)
     return ObservabilityReport(
         determinant=float(det),
-        oracle_determinant=float(oracle.determinant) / oracle_scale,
+        oracle_determinant=float(oracle.determinant),
         margin=float(margin),
         rank=oracle.rank,
         condition_number=oracle.condition_number,
-        oracle_scale=oracle_scale,
         psi_od=psi_od,
         psi_oq=psi_oq,
         guaranteed=bool(guaranteed),

@@ -58,13 +58,9 @@ class WrsmParams:
             raise ValueError("p must be >= 1")
         if not self.L_d >= self.L_q > 0:
             raise ValueError("inductances must satisfy L_d >= L_q > 0")
-        if not self.L_delta > 0:
-            raise ValueError("a wound-rotor machine needs L_d > L_q: its "
-                             "saliency factor sigma_delta divides by "
-                             "L_d - L_q")
-        if self.sigma_d <= 0:
-            raise ValueError(
-                "inductance matrix not positive definite (sigma_d <= 0)")
+        if not self.L_d > self.field_coupling:
+            raise ValueError("inductance matrix not positive definite "
+                             "(L_d <= M_f**2/L_f)")
 
     @property
     def L_d(self) -> float:
@@ -80,14 +76,10 @@ class WrsmParams:
         return self.L_d - self.L_q
 
     @property
-    def sigma_d(self) -> float:
-        """d-axis leakage factor 1 - M_f^2/(L_d*L_f)."""
-        return 1.0 - self.M_f**2 / (self.L_d * self.L_f)
-
-    @property
-    def sigma_delta(self) -> float:
-        """Saliency leakage factor 1 - M_f^2/(L_delta*L_f)."""
-        return 1.0 - self.M_f**2 / (self.L_delta * self.L_f)
+    def field_coupling(self) -> float:
+        """Inductance M_f^2/L_f that the field winding takes off the d axis
+        (H)."""
+        return self.M_f**2 / self.L_f
 
 
 @dataclass(frozen=True)
@@ -140,8 +132,9 @@ class BrushlessSmParams:
         if self.has_field:
             if min(self.M_f, self.L_f, self.R_f) <= 0:
                 raise ValueError("HESM requires M_f, L_f, R_f > 0")
-            if self.sigma_d <= 0:
-                raise ValueError("HESM inductance matrix not positive definite")
+            if not self.L_d > self.field_coupling:
+                raise ValueError("HESM inductance matrix not positive definite "
+                                 "(L_d <= M_f**2/L_f)")
 
     @property
     def has_field(self) -> bool:
@@ -161,17 +154,10 @@ class BrushlessSmParams:
         return self.L_d - self.L_q
 
     @property
-    def sigma_d(self) -> float:
-        if self.L_f == 0.0:
-            return 1.0
-        return 1.0 - self.M_f**2 / (self.L_d * self.L_f)
-
-    @property
-    def sigma_delta(self) -> float:
-        """1 for machines without a field winding."""
-        if self.L_f == 0.0 or self.L_delta == 0.0:
-            return 1.0
-        return 1.0 - self.M_f**2 / (self.L_delta * self.L_f)
+    def field_coupling(self) -> float:
+        """Inductance M_f^2/L_f that the field winding takes off the d axis
+        (H); 0 without a field winding."""
+        return self.M_f**2 / self.L_f if self.has_field else 0.0
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,3 @@ class PiController:
         self.saturated = False
         self.integral += self.k_i * error * dt
         return raw
-
-    def preload(self, output: float):
-        """Seed the integrator so the controller starts at ``output``."""
-        self.integral = output

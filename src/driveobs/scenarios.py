@@ -80,7 +80,6 @@ class WrsmScenario:
     injection_windows: Tuple[Tuple[float, float], ...] = ((1.0, 1.5), (4.5, 5.0))
     bw_dq: float = 500.0              # current-loop bandwidth (rad/s)
     bw_f: float = 50.0                # field-loop bandwidth (rad/s)
-    field_feedforward: bool = True    # R_f*i_ref + L_f*di_ref/dt on v_f
     v_limit: float = 3000.0
     theta0_error: float = 0.5         # initial position estimate offset (rad)
     ekf_q_diag: Tuple[float, ...] = (1.0, 1.0, 1.0, 200.0, 5.0)
@@ -427,8 +426,7 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
                         -sc.v_limit, sc.v_limit, integral=p.R_s * sc.i_q_ref)
     i_f0 = i_f_ref_profile.value(0.0)
     pi_f = PiController(sc.bw_f * p.L_f, sc.bw_f * p.R_f,
-                        -sc.v_limit, sc.v_limit,
-                        integral=0.0 if sc.field_feedforward else p.R_f * i_f0)
+                        -sc.v_limit, sc.v_limit)
 
     # plant starts settled at the setpoints
     theta0 = speed.integral(0.0)
@@ -448,7 +446,7 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     alpha = dt / (sc.omega_o_filter_tau + dt)
     h2, h6 = 0.5 * dt, dt / 6.0     # RK4 stage and weight factors
 
-    sD_LD = p.sigma_delta * p.L_delta
+    L_oq = p.L_delta - p.field_coupling
     LD, Mf = p.L_delta, p.M_f
     rows = np.zeros((n_trace, len(_WRSM_PLANT)))
 
@@ -467,16 +465,16 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
             i_f_ref = i_f_refs[j]
             v_d = pi_d.update(sc.i_d_ref - i_d, dt)
             v_q = pi_q.update(sc.i_q_ref - i_q, dt)
-            v_f = pi_f.update(i_f_ref - i_f, dt)
-            if sc.field_feedforward:
-                v_f += p.R_f * i_f_ref + p.L_f * di_f_refs[j]
+            # the field voltage carries the feedforward R_f*i_ref + L_f*di_ref
+            v_f = pi_f.update(i_f_ref - i_f, dt) + (
+                p.R_f * i_f_ref + p.L_f * di_f_refs[j])
             va = c1 * v_d - s1 * v_q
             vb = s1 * v_d + c1 * v_q
             saturated = pi_d.saturated or pi_q.saturated or pi_f.saturated
 
             # observability-vector angle tracking at the integration rate
             psi_od = LD * i_d + Mf * i_f
-            psi_oq = sD_LD * i_q
+            psi_oq = L_oq * i_q
             th_o = math.nan
             if psi_od != 0.0 or psi_oq != 0.0:
                 th_o = math.atan2(psi_oq, psi_od)

@@ -15,7 +15,7 @@ from driveobs.lie import machine_observability_matrix
 from driveobs.machines import (InductionMachine, SynchronousMachine,
                                dq_derivative, make_machine, park)
 from driveobs.observability import (dcm_determinant, im_determinant,
-                                    sensorless_oracle_scale, sm_determinant)
+                                    sm_determinant)
 from driveobs.params import (IM_DEFAULT, IPMSM_DEFAULT, SPMSM_DEFAULT,
                              SYRM_DEFAULT, WRSM_DEFAULT)
 from driveobs.scenarios import (ImScenario, WrsmScenario, run_im_scenario,
@@ -106,8 +106,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
             if label == "im_sensorless":
                 ratios.append(res.determinant / closed)
         parts[f"{label} worst {worst:.2e}"] = worst <= 1e-4
-    scale = sensorless_oracle_scale(IM_DEFAULT)
-    ratio_dev = float(np.max(np.abs(np.asarray(ratios) - scale)))
+    ratio_dev = float(np.max(np.abs(np.asarray(ratios) - 1.0)))
     parts[f"sensorless scale state-independent ({ratio_dev:.2e})"] = \
         ratio_dev <= 1e-6
     elapsed = time.perf_counter() - t0

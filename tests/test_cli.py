@@ -12,6 +12,7 @@ from driveobs.cli import main
 from driveobs.config import CONFIG_SCHEMA, bundled_config_path
 from driveobs.lie import machine_observability_matrix
 from driveobs.machines import make_machine
+from driveobs.observability import observability_report
 from driveobs.params import IM_DEFAULT, MACHINE_KINDS, params_from_dict
 from driveobs.trace import CSV_ROWS, SimTrace
 
@@ -512,8 +513,8 @@ def test_wrongly_typed_values_exit_2(tmp_path, capsys, monkeypatch, command,
 
 
 @pytest.mark.parametrize("command, kind, where, value, code", [
-    # sigma_delta divides by L_d - L_q
-    ("check", "wrsm", {"params": {"L_2": 0.0}}, None, 2),
+    # L_q = L_0 - L_2 must stay above 0
+    ("check", "wrsm", {"params": {"L_2": 0.75e-3}}, None, 2),
     # the parameter checks square M_f
     ("check", "wrsm", {"params": {"M_f": 5.7e297}}, None, 2),
     # slip_frequency squares psi_rd
@@ -540,6 +541,38 @@ def test_extreme_values_exit_without_traceback(tmp_path, capsys, command,
     message = assert_one_line_error(capsys)
     if value is not None:
         assert value in message
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("hesm", "L_q", 0.8e-3),                  # L_d = 0.8 mH
+    ("hesm", "L_q", 0.8e-3 * (1.0 - 1e-6)),
+    ("wrsm", "L_2", 0.0),                     # L_d = L_0 + L_2
+    ("wrsm", "L_2", 0.5e-6 * 0.75e-3),
+])
+def test_check_at_equal_inductances_matches_oracle(tmp_path, capsys, kind,
+                                                   key, value):
+    """At L_q = L_d the q component of the observability vector is
+    -M_f^2/L_f * i_q, not 0: closed form and oracle agree there and 1e-6
+    (relative) away, within criterion 1's 1e-4. At this standstill point
+    the field-current rate turns the vector at well under the 2 rad/s
+    threshold, so ``check`` exits 4 (not guaranteed)."""
+    cfg = {"schema": CONFIG_SCHEMA,
+           "machine": {"kind": kind, "params": {key: value}},
+           "check": {"omega": 0.0, "i_d": 1.0, "i_q": 5.0, "i_f": 2.0,
+                     "di_f": 30.0}}
+    assert main(["check", "--config", write_cfg(tmp_path, cfg)]) == 4
+    out = json.loads(capsys.readouterr().out)
+    worst = abs(abs(out["oracle_determinant"]) - abs(out["determinant"])) \
+        / abs(out["determinant"])
+    machine = make_machine(kind, params_from_dict(kind, {key: value}))
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        x = np.array([rng.normal(0, 10), rng.normal(0, 10), rng.normal(0, 5),
+                      rng.normal(0, 100), rng.uniform(-np.pi, np.pi)])
+        rep = observability_report(machine, x, rng.normal(0, 20, 3))
+        worst = max(worst, abs(abs(rep.oracle_determinant)
+                               - abs(rep.determinant)) / abs(rep.determinant))
+    assert worst <= 1e-4
 
 
 SEGMENT = {"kind": "constant", "t0": 0.0, "t1": 0.3, "value": 0.0}

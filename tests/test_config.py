@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from driveobs.config import (CONFIG_SCHEMA, ConfigError, load_bundled_config,
+from driveobs.config import (CONFIG_SCHEMA, ConfigError, bundled_config_path,
                              load_config, scenario_from_config,
                              validate_config)
 from driveobs.scenarios import ImScenario, WrsmScenario
@@ -21,7 +21,7 @@ def minimal(kind="wrsm", **extra):
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_configs_validate(name):
-    cfg = load_bundled_config(name)
+    cfg = load_config(bundled_config_path(name))
     assert cfg["schema"] == CONFIG_SCHEMA
 
 
@@ -103,11 +103,11 @@ def test_scenario_seed_may_be_null(kind):
 
 
 def test_scenario_from_config_builds_defaults():
-    cfg = load_bundled_config("wrsm_standstill.json")
+    cfg = load_config(bundled_config_path("wrsm_standstill.json"))
     sc = scenario_from_config(cfg)
     assert isinstance(sc, WrsmScenario)
     assert sc.t_end == 6.0
-    cfg_im = load_bundled_config("im_zero_freq.json")
+    cfg_im = load_config(bundled_config_path("im_zero_freq.json"))
     sc_im = scenario_from_config(cfg_im)
     assert isinstance(sc_im, ImScenario)
     assert sc_im.seed == 1234 and sc_im.noise_std == 1.0

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from driveobs.ekf import (EkfConfig, EkfDivergenceError,
-                          SingularInnovationError, ekf_predict, ekf_step,
-                          ekf_update, linearize, make_ekf)
+                          SingularInnovationError, ekf_predict, ekf_update,
+                          linearize, make_ekf)
 from driveobs.machines import SynchronousMachine, make_machine
 from driveobs.params import SPMSM_DEFAULT
 from driveobs.rk4 import rk4_step
@@ -163,6 +163,14 @@ def test_update_singular_innovation_error():
         ekf_update(inst, np.array([0.0]))
 
 
+def test_update_nan_covariance_is_singular_innovation():
+    # a NaN innovation covariance fails on every LAPACK, including those
+    # whose Cholesky returns a NaN factor instead of raising
+    inst = replace(still_ekf(n=2), P=np.full((2, 2), np.nan))
+    with pytest.raises(SingularInnovationError):
+        ekf_update(inst, np.zeros(2))
+
+
 def test_update_matches_output_matrix_form():
     """Selecting the measured states (speed included, so not a prefix)
     equals the update written with a 0/1 output matrix C."""
@@ -200,7 +208,7 @@ def test_pm_dcm_converges_from_wrong_start():
     u = np.array([12.0])
     for k in range(2000):
         x = rk4_step(m.f, x, lambda t: u, k * Ts, Ts)
-        inst, _ = ekf_step(inst, u, x[:1])
+        inst, _ = ekf_update(ekf_predict(inst, u), x[:1])
     assert np.linalg.norm(x - inst.x) < 0.01 * err0
 
 
@@ -215,7 +223,7 @@ def test_consistent_replay_keeps_innovations_small():
         worst = 0.0
         for k in range(int(0.02 / Ts)):
             x = rk4_step(m.f, x, lambda t: u, k * Ts, Ts)
-            inst, innov = ekf_step(inst, u, x[:1])
+            inst, innov = ekf_update(ekf_predict(inst, u), x[:1])
             worst = max(worst, np.max(np.abs(innov)))
         return worst
 
@@ -240,7 +248,7 @@ def test_spmsm_standstill_position_not_corrected():
                     x0=np.array([i_dq[0], i_dq[1], 0.0, theta_err0]), Ts=Ts)
     inst = make_ekf(m, cfg)
     for _ in range(2000):
-        inst, _ = ekf_step(inst, u, x_true[:2])
+        inst, _ = ekf_update(ekf_predict(inst, u), x_true[:2])
     assert abs(inst.x[3] - theta_err0) < 0.05 * theta_err0
 
 
@@ -254,7 +262,7 @@ def test_covariance_invariants_over_long_run():
     u = np.array([3.0])
     for k in range(3000):
         x = rk4_step(m.f, x, lambda t: u, k * Ts, Ts)
-        inst, _ = ekf_step(inst, u, x[:1])
+        inst, _ = ekf_update(ekf_predict(inst, u), x[:1])
         assert np.max(np.abs(inst.P - inst.P.T)) < 1e-9
         if k % 100 == 0:
             eig = np.linalg.eigvalsh(inst.P)
@@ -272,7 +280,7 @@ def test_deterministic_reruns():
         u = np.array([12.0])
         for k in range(300):
             x = rk4_step(m.f, x, lambda t: u, k * 1e-4, 1e-4)
-            inst, _ = ekf_step(inst, u, x[:1])
+            inst, _ = ekf_update(ekf_predict(inst, u), x[:1])
             xs.append(inst.x.copy())
         return np.array(xs)
 

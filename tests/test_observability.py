@@ -12,12 +12,10 @@ from driveobs.observability import (DegenerateFluxError, dcm_determinant,
                                     flux_angular_velocity, im_condition,
                                     im_determinant, im_steady_determinant,
                                     im_steady_operating_point,
-                                    observability_report,
-                                    sensorless_oracle_scale, slip_frequency,
-                                    sm_condition_margin, sm_condition_ratio,
-                                    sm_determinant, sm_observability_vector,
-                                    sm_omega_o, sm_operating_point,
-                                    unobservability_line)
+                                    observability_report, slip_frequency,
+                                    sm_condition_ratio, sm_determinant,
+                                    sm_observability_vector, sm_omega_o,
+                                    sm_operating_point, unobservability_line)
 from driveobs.params import (BrushlessSmParams, HESM_DEFAULT, IM_DEFAULT,
                              IPMSM_DEFAULT, PM_DCM_DEFAULT,
                              SERIES_DCM_DEFAULT, SPMSM_DEFAULT, SYRM_DEFAULT,
@@ -60,23 +58,25 @@ def closed_form_at(machine, x, u):
 
 
 def test_vector_spmsm_constant():
-    vec = sm_observability_vector(SPMSM_SPEC, i_sd=12.0, i_sq=-3.0)
-    assert vec.psi_od == 0.1 and vec.psi_oq == 0.0
-    assert vec.theta_o == 0.0
+    vec = sm_observability_vector(SPMSM_SPEC, i_sd=12.0, i_sq=-3.0,
+                                  di_sd=50.0, di_sq=7.0)
+    assert vec == (0.1, 0.0, 0.0, 0.0)
 
 
 def test_vector_wrsm_setpoint_values():
-    vec = sm_observability_vector(WRSM_DEFAULT, 2.0, 15.0, i_f=4.0)
-    assert vec.psi_od == pytest.approx(1e-4 * 2 + 5.7e-3 * 4, rel=1e-12)
-    sigma_delta = 1 - 5.7e-3**2 / (1e-4 * 0.85)
-    assert vec.psi_oq == pytest.approx(sigma_delta * 1e-4 * 15, rel=1e-12)
-    assert vec.psi_od == pytest.approx(0.0230, abs=5e-5)
-    assert vec.psi_oq == pytest.approx(9.27e-4, abs=5e-7)
+    psi_od, psi_oq, dpsi_od, dpsi_oq = sm_observability_vector(
+        WRSM_DEFAULT, 2.0, 15.0, i_f=4.0, di_sd=10.0, di_sq=-20.0, di_f=30.0)
+    assert psi_od == pytest.approx(1e-4 * 2 + 5.7e-3 * 4, rel=1e-12)
+    L_oq = 1e-4 - 5.7e-3**2 / 0.85
+    assert psi_oq == pytest.approx(L_oq * 15, rel=1e-12)
+    assert psi_od == pytest.approx(0.0230, abs=5e-5)
+    assert psi_oq == pytest.approx(9.27e-4, abs=5e-7)
+    assert dpsi_od == pytest.approx(1e-4 * 10 + 5.7e-3 * 30, rel=1e-12)
+    assert dpsi_oq == pytest.approx(L_oq * -20, rel=1e-12)
 
 
 def test_vector_zero_angle_undefined():
-    vec = sm_observability_vector(SYRM_DEFAULT, 0.0, 0.0)
-    assert math.isnan(vec.theta_o)
+    assert sm_observability_vector(SYRM_DEFAULT, 0.0, 0.0) == (0.0,) * 4
     assert math.isnan(sm_omega_o(SYRM_DEFAULT, 0.0, 0.0))
 
 
@@ -86,16 +86,17 @@ def test_vector_requires_field_current():
 
 
 def test_hesm_vector_adds_magnet_flux():
-    vec = sm_observability_vector(HESM_DEFAULT, 2.0, 15.0, i_f=4.0)
+    psi_od = sm_observability_vector(HESM_DEFAULT, 2.0, 15.0, i_f=4.0)[0]
     base = HESM_DEFAULT.L_delta * 2.0 + HESM_DEFAULT.M_f * 4.0
-    assert vec.psi_od == pytest.approx(base + HESM_DEFAULT.psi_r, rel=1e-12)
+    assert psi_od == pytest.approx(base + HESM_DEFAULT.psi_r, rel=1e-12)
 
 
 def test_spmsm_theta_o_identically_zero():
+    # the vector is the magnet flux along d: angle 0 whatever the currents
     for _ in range(20):
-        vec = sm_observability_vector(SPMSM_SPEC, RNG.normal(0, 50),
-                                      RNG.normal(0, 50))
-        assert vec.theta_o == 0.0
+        psi_od, psi_oq, _, _ = sm_observability_vector(
+            SPMSM_SPEC, RNG.normal(0, 50), RNG.normal(0, 50))
+        assert psi_od == 0.1 and psi_oq == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +157,11 @@ def test_margin_determinant_equivalence():
         det = sm_determinant(p, w, idq[0], idq[1], x[2], didq[0], didq[1], xd[2])
         omega_o = sm_omega_o(p, idq[0], idq[1], x[2], didq[0], didq[1], xd[2])
         ratio = sm_condition_ratio(p, idq[0], idq[1], x[2])
-        vec = sm_observability_vector(p, idq[0], idq[1], x[2])
-        D = (vec.psi_od**2 + p.sigma_delta * p.L_delta**2 * idq[1]**2) \
-            / (p.sigma_d * p.L_d * p.L_q)
+        psi_od = sm_observability_vector(p, idq[0], idq[1], x[2])[0]
+        fc = p.field_coupling
+        D = (psi_od**2 + (p.L_delta - fc) * p.L_delta * idq[1]**2) \
+            / ((p.L_d - fc) * p.L_q)
         assert det == pytest.approx(D * (w - ratio * omega_o), rel=1e-9)
-
-
-def test_margin_trivial_values():
-    assert sm_condition_margin(0.0, 0.0) == 0.0
-    assert sm_condition_margin(100.0, 0.0) == 100.0
-    assert math.isnan(sm_condition_margin(1.0, math.nan))
 
 
 def test_condition_ratio():
@@ -222,8 +218,10 @@ def test_im_determinants_match_oracle():
 
 
 def test_sensorless_oracle_scale_state_independent():
+    # the scaled-coordinate oracle needs no rescaling: the report's
+    # oracle_scale is 1
     machine = InductionMachine(IM_DEFAULT)
-    scale = sensorless_oracle_scale(IM_DEFAULT)
+    scale = 1.0
     ratios = []
     for _ in range(30):
         x = RNG.normal(0, 1, 6) * np.array([2e-3, 2e-3, 0.05, 0.05, 100, 5])

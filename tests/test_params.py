@@ -12,9 +12,11 @@ def test_wrsm_derived_constants():
     assert p.L_d == pytest.approx(0.8e-3)
     assert p.L_q == pytest.approx(0.7e-3)
     assert p.L_delta == pytest.approx(1e-4)
-    assert p.sigma_d == pytest.approx(1 - 5.7e-3**2 / (0.8e-3 * 0.85))
-    assert p.sigma_delta == pytest.approx(1 - 5.7e-3**2 / (1e-4 * 0.85))
-    assert 0.61 < p.sigma_delta < 0.625
+    assert p.field_coupling == pytest.approx(5.7e-3**2 / 0.85)
+    # the leakage factors of the literature: sigma_d, sigma_delta
+    assert 1 - p.field_coupling / p.L_d == pytest.approx(
+        1 - 5.7e-3**2 / (0.8e-3 * 0.85))
+    assert 0.61 < 1 - p.field_coupling / p.L_delta < 0.625
 
 
 def test_im_derived_constants():
@@ -59,11 +61,13 @@ def test_brushless_kind_invariants():
                           psi_r=0.1, J=1e-2, p=2)
 
 
-def test_brushless_leakage_factors_unity_without_field():
+def test_brushless_field_coupling_zero_without_field():
     p = BrushlessSmParams(kind="ipmsm", R_s=0.01, L_d=0.8e-3, L_q=0.7e-3,
                           psi_r=0.1, J=1e-2, p=2)
-    assert p.sigma_d == 1.0
-    assert p.sigma_delta == 1.0
+    assert p.field_coupling == 0.0
+    with pytest.raises(ValueError, match="positive definite"):
+        BrushlessSmParams(kind="hesm", R_s=0.01, L_d=0.8e-3, L_q=0.7e-3,
+                          psi_r=0.02, J=1e-2, p=2, M_f=0.1, L_f=0.85, R_f=6.5)
 
 
 def test_im_rejects_bad_leakage():

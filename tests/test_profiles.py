@@ -121,12 +121,6 @@ def test_pi_tracks_and_freezes_when_saturated():
     assert pi.integral != frozen
 
 
-def test_pi_preload_sets_steady_output():
-    pi = PiController(k_p=0.5, k_i=10.0)
-    pi.preload(26.0)
-    assert pi.update(0.0, 1e-3) == pytest.approx(26.0)
-
-
 def test_pi_rejects_bad_limits():
     with pytest.raises(ValueError):
         PiController(1.0, 1.0, out_min=1.0, out_max=-1.0)
