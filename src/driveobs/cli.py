@@ -24,9 +24,9 @@ from .observability import (DegenerateFluxError, OBS_THRESHOLD_DEFAULT,
                             slip_frequency, sm_determinant,
                             sm_operating_point)
 from .params import SM_KINDS, params_from_dict
-from .scenarios import run_im_scenario, run_wrsm_scenario
+from .scenarios import PlantWorkerError, run_im_scenario, run_wrsm_scenario
 from .summary import summarize
-from .trace import json_sanitize, write_summary
+from .trace import json_sanitize, write_rows, write_summary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,7 +77,7 @@ def cmd_simulate(args) -> int:
         else:
             trace = run_im_scenario(scenario)
     except (EkfDivergenceError, SingularInnovationError,
-            SingularInductanceError, ProfileDomainError,
+            SingularInductanceError, ProfileDomainError, PlantWorkerError,
             ArithmeticError) as exc:    # overflow at extreme parameters
         _err(f"simulation failed: {exc}")
         return EXIT_SIM
@@ -218,7 +218,7 @@ def cmd_sweep(args) -> int:
     path = out_dir / "sweep.csv"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, rows, fmt="%.12g", delimiter=",")
+        write_rows(fh, rows)
     print(f"sweep: {path} ({len(rows)} cells)")
     return EXIT_OK
 

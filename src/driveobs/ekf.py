@@ -133,23 +133,21 @@ def check_overflow(x, P, bound: float):
             f"({bound:g}); filter diverged")
 
 
-def bank(insts, Ys):
-    """``(X, P, Q, C, R, Y)`` of filters on one state size; ``Ys[b]`` are
-    member b's measurements ``(N, m_b)``. Padded to the largest ``m_b``, a
-    member gets zero ``C`` rows, unit ``R`` diagonal and zero measurements
-    in ``Y`` ``(N, B, m)``, so its padded innovations and gains are 0."""
+def bank(insts):
+    """``(X, P, Q, C, R)`` of filters on one state size. Padded to the
+    largest output count ``m``, a member gets zero ``C`` rows and a unit
+    ``R`` diagonal; with zero measurements there, its padded innovations
+    and gains are 0."""
     n, m = insts[0].x.size, max(inst.outputs.size for inst in insts)
     C = np.zeros((len(insts), m, n))
     R = np.tile(np.eye(m), (len(insts), 1, 1))
-    Y = np.zeros((len(Ys[0]), len(insts), m))
     for b, inst in enumerate(insts):
         k = inst.outputs.size
         C[b, np.arange(k), inst.outputs] = 1.0
         R[b, :k, :k] = inst.config.R
-        Y[:, b, :k] = Ys[b]
     X, P, Q = (np.array(a) for a in zip(*(
         (inst.x, inst.P, inst.config.Q) for inst in insts)))
-    return X, P, Q, C, R, Y
+    return X, P, Q, C, R
 
 
 def symmetrized(P):

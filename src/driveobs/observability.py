@@ -321,7 +321,9 @@ def observability_report(machine, x, u, u_dot=None,
         psi_od, psi_oq, dd, dq = sm_observability_vector(machine.params,
                                                          *currents)
         det = sm_determinant(machine.params, omega, *currents)
-        margin = omega - flux_angular_velocity((psi_od, psi_oq), (dd, dq))
+        # the distance to the determinant's zero set omega = ratio * omega_o
+        margin = omega - sm_condition_ratio(machine.params, *currents[:3]) \
+            * flux_angular_velocity((psi_od, psi_oq), (dd, dq))
         guaranteed = abs(margin) >= threshold
     elif isinstance(machine, InductionMachine):
         mode = "with_speed" if speed_measured else "sensorless"

@@ -5,7 +5,8 @@ Two scenarios are bundled: a speed-driven wound-rotor machine with PI current
 control and high-frequency field-current injection at standstill, and an
 open-loop induction-machine voltage drive whose stator frequency dwells at
 exactly zero. Both log the closed-form observability channels alongside one
-or two open-loop filters.
+or two open-loop filters; a worker process runs the plant and streams its
+trace rows to the filters.
 """
 
 from __future__ import annotations
@@ -196,10 +197,10 @@ def default_im_load_profile() -> SignalProfile:
 
 
 # ---------------------------------------------------------------------------
-# plant kernels and input sampling
+# plant generators and input sampling
 
 # integration steps whose profile inputs are sampled at once; the loops read
-# each chunk's samples from Python lists, which stay small
+# each chunk's samples from Python lists and yield its trace rows as a block
 CHUNK = 1024
 
 
@@ -224,17 +225,13 @@ def wrsm_current_rates(p: WrsmParams):
         ia, ib, i_f, w, math.cos(th), math.sin(th), va, vb, vf)
 
 
-def _integrate_im(sc: ImScenario, scaled: bool):
-    """
-    IM plant stage: RK4 on the dt_sim grid, sampled on the trace grid.
-
-    Returns ``(t, X, V, omega_s_cmd, omega_s)``: the trace-row times, the
-    state ``(i_a, i_b, psi_a, psi_b, omega_e, T_r)`` in the model's own
-    coordinates, the applied voltages, the commanded stator frequency and
-    the flux-angle frequency estimate, low-pass filtered every dt_sim.
-    """
+def _im_plant(sc: ImScenario, scaled: bool = True):
+    """IM plant stage: RK4 on the dt_sim grid; yields each chunk's trace
+    rows ``(t, i_a, i_b, psi_a, psi_b, omega_e, T_r, v_a, v_b, omega_s_cmd,
+    omega_s)`` as an ``(r, 11)`` array, the state in the model's own
+    coordinates, ``omega_s`` low-pass filtered every dt_sim."""
     dt = sc.dt_sim
-    n_steps, n_sub, n_trace = _grid(sc)
+    n_steps, n_sub, _ = _grid(sc)
     rates = im_rates(sc.params) if scaled else im_rates_unscaled(sc.params)
 
     def voltages(t):    # volts per hertz above a floor
@@ -243,13 +240,7 @@ def _integrate_im(sc: ImScenario, scaled: bool):
             np.abs(w_cmd) / sc.omega_rated, 1.0)
         return _lists(w_cmd, amp * np.cos(phase), amp * np.sin(phase))
 
-    times = np.zeros(n_trace)
-    X = np.zeros((n_trace, 6))
-    V = np.zeros((n_trace, 2))
-    omega_s_cmd = np.zeros(n_trace)
-    omega_s = np.zeros(n_trace)
-    ang_prev = None
-    omega_s_filt = 0.0
+    ang_prev, omega_s_filt = None, 0.0    # flux-angle frequency filter
     alpha = dt / (sc.omega_s_filter_tau + dt)
     h2, h6 = 0.5 * dt, dt / 6.0     # RK4 stage and weight factors
     ia = ib = pa = pb = we = 0.0
@@ -258,6 +249,7 @@ def _integrate_im(sc: ImScenario, scaled: bool):
         w_cmds, va_c, vb_c = voltages(t_c)
         _, va_m, vb_m = voltages(tm_c)
         _, va_2, vb_2 = voltages(t2_c)
+        rows = []
         for j, t in enumerate(t_c.tolist()):
             s = c0 + j
             Tr, va, vb = load[j], va_c[j], vb_c[j]
@@ -271,12 +263,8 @@ def _integrate_im(sc: ImScenario, scaled: bool):
                 ang_prev = ang
 
             if s % n_sub == 0:
-                k = s // n_sub
-                times[k] = t
-                X[k] = ia, ib, pa, pb, we, Tr
-                V[k] = va, vb
-                omega_s_cmd[k] = w_cmds[j]
-                omega_s[k] = omega_s_filt
+                rows.append((t, ia, ib, pa, pb, we, Tr, va, vb, w_cmds[j],
+                             omega_s_filt))
 
             if s < n_steps:
                 vam, vbm, va2, vb2 = va_m[j], vb_m[j], va_2[j], vb_2[j]
@@ -295,7 +283,8 @@ def _integrate_im(sc: ImScenario, scaled: bool):
                 pa += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
                 pb += h6 * (d1 + 2 * d2 + 2 * d3 + d4)
                 we += h6 * (e1 + 2 * e2 + 2 * e3 + e4)
-    return times, X, V, omega_s_cmd, omega_s
+        if rows:
+            yield np.array(rows)
 
 
 def run_im_truth(sc: ImScenario, scaled: bool = True) -> SimTrace:
@@ -310,11 +299,10 @@ def run_im_truth(sc: ImScenario, scaled: bool = True) -> SimTrace:
     """
     p = sc.params
     s_i, s_p = (p.L_sigma, p.k_r) if scaled else (1.0, 1.0)
-    t, X, V, _, omega_s = _integrate_im(sc, scaled)
-    cols = {"t": t, "i_sa": X[:, 0] / s_i, "i_sb": X[:, 1] / s_i,
-            "psi_ra": X[:, 2] / s_p, "psi_rb": X[:, 3] / s_p,
-            "omega_e": X[:, 4], "T_r": X[:, 5], "omega_s": omega_s,
-            "v_sa": V[:, 0], "v_sb": V[:, 1]}
+    r = np.concatenate(list(_im_plant(sc, scaled))).T
+    cols = {"t": r[0], "i_sa": r[1] / s_i, "i_sb": r[2] / s_i,
+            "psi_ra": r[3] / s_p, "psi_rb": r[4] / s_p, "omega_e": r[5],
+            "T_r": r[6], "omega_s": r[10], "v_sa": r[7], "v_sb": r[8]}
     meta = {"machine": "im", "scaled": scaled, "dt_sim": sc.dt_sim,
             "trace_dt": sc.trace_dt, "t_end": sc.t_end}
     return SimTrace(columns=cols, meta=meta)
@@ -324,61 +312,136 @@ def run_im_truth(sc: ImScenario, scaled: bool = True) -> SimTrace:
 # stages shared by both scenarios
 
 
-def _noisy(Y: np.ndarray, std: float, seed) -> np.ndarray:
-    """Measurements plus seeded Gaussian noise, drawn row by row."""
-    if std > 0:
-        return Y + np.random.default_rng(seed).normal(0.0, std, Y.shape)
-    return Y
+class PlantWorkerError(RuntimeError):
+    """The plant's worker process ended without its rows or an error."""
 
 
-def _run_filter(insts, U: np.ndarray, Ys):
+def _plant_worker(conn, plant, args):
+    """Worker process: send the row blocks of ``plant(*args)``, then its CPU
+    seconds for them as the end marker, or the exception that stopped it."""
+    started = time.process_time()    # blocked sends take none
+    try:
+        for block in plant(*args):
+            conn.send(block)
+        end = time.process_time() - started
+    except Exception as exc:    # raised again by the caller
+        end = exc
+    conn.send(end)
+
+
+def _overlapped(started: float, plant, args, ncols: int, insts, measure):
+    """Run ``plant(*args)`` in one worker process while the filter bank
+    ``insts`` steps over the rows received, ``measure(block)`` giving their
+    ``(U, Ys)``. Returns the ``(N, ncols)`` rows, the ``_run_filter``
+    results (None without filters) and the ``plant`` (waiting) and
+    ``filters`` seconds since ``started`` and the worker's ``plant_busy_s``."""
+    import multiprocessing    # here, as it slows the start of the cli
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    rows = np.empty((_grid(args[0])[2], ncols))
+    recv_end, send_end = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_plant_worker, args=(send_end, plant, args),
+                         daemon=True)
+    worker.start()
+    send_end.close()
+    times = {"plant": time.perf_counter() - started}
+
+    def blocks():
+        lo, t = 0, time.perf_counter()
+        while True:
+            msg = recv_end.recv()
+            times["plant"] += time.perf_counter() - t
+            if isinstance(msg, BaseException):    # raised with its type
+                raise msg
+            if not isinstance(msg, np.ndarray):    # the end marker
+                times["plant_busy_s"] = msg
+                return
+            rows[lo:lo + len(msg)] = msg
+            lo += len(msg)
+            yield msg
+            t = time.perf_counter()
+
+    try:
+        stream = blocks()
+        filtered = _run_filter(insts, len(rows), map(measure, stream)) \
+            if insts else None
+        for _ in stream:    # without filters, the rows alone
+            pass
+    except EOFError:
+        raise PlantWorkerError(
+            "plant worker process ended without its rows") from None
+    finally:
+        if "plant_busy_s" not in times:    # the stream stopped early
+            worker.kill()
+        worker.join()
+        recv_end.close()
+    times["filters"] = time.perf_counter() - started - times["plant"]
+    return rows, filtered, times
+
+
+def _noise(std: float, seed):
+    """Seeded Gaussian noise added to blocks of rows from one stream; only
+    noise loads numpy.random, which takes about 5 MB resident."""
+    rng = np.random.default_rng(seed) if std > 0 else None
+    return lambda Y: Y + rng.normal(0.0, std, Y.shape) if std > 0 else Y
+
+
+def _run_filter(insts, n: int, blocks):
     """
     Run a bank of filters that share the machine, ``Ts``, overflow bound and
-    inputs over a finished trace: row ``k`` predicts with the input of row
-    ``k - 1`` and corrects with the measurements ``Ys[b]`` of row ``k``.
-    Returns the estimates ``(N, B, n)`` and innovations ``(N, B, m)`` (row
-    0: the initial estimates, NaN innovations; padded outputs read 0) and
-    each member's health ``(steps, max |P - P^T|, min eigenvalue ratio)``.
+    inputs over ``n`` trace rows, given in order by ``blocks`` as ``(U, Ys)``
+    per block: row ``k`` predicts with the input of row ``k - 1`` and
+    corrects with the measurements ``Ys[b]`` of row ``k``. Returns the
+    estimates ``(n, B, n_x)`` and innovations ``(n, B, m)`` (row 0: the
+    initial estimates, NaN innovations; padded outputs read 0) and each
+    member's health ``(steps, max |P - P^T|, min eigenvalue ratio)``.
     Overflow is checked after every step; the asymmetry of the Joseph-form
     covariance before its symmetrization and the eigenvalue ratio of the
     symmetrized one are sampled every 100 steps.
     """
     f, cfg = insts[0].machine.f, insts[0].config
     Ts, bound = cfg.Ts, cfg.overflow
-    X, P, Q, C, R, Y = bank(insts, Ys)
-    n, B, m = Y.shape
+    X, P, Q, C, R = bank(insts)
+    B, m = C.shape[:2]
     est = np.empty((n,) + X.shape)
     innov = np.full((n, B, m), math.nan)
     est[0] = X
     asym, eig_ratio = np.zeros(B), np.full(B, math.inf)
-    for k, u in enumerate(U[:n - 1].tolist(), 1):
-        X, P = predict(f, X, P, u, Ts, Q)
-        try:
-            X, P_joseph, innov[k] = update(X, P, Y[k], C, R)
-        except SingularInnovationError:
-            check_overflow(X, P, bound)    # a blow-up reads as divergence
-            raise
-        P = symmetrized(P_joseph)
-        check_overflow(X, P, bound)
-        est[k] = X
-        if k % 100 == 0:
-            np.maximum(asym, np.abs(P_joseph - P_joseph.swapaxes(1, 2)).max(
-                axis=(1, 2)), out=asym)
-            eig = np.linalg.eigvalsh(P)
-            eig_ratio = np.minimum(
-                eig_ratio, eig[:, 0] / np.maximum(eig[:, -1], 1e-300))
-    return est, innov, [(n - 1, a, r) for a, r in zip(
+    k = 0
+    for U, Ys in blocks:
+        Y = np.zeros((len(U), B, m))    # padded outputs measure 0
+        for b, y in enumerate(Ys):
+            Y[:, b, :y.shape[1]] = y
+        for u, y in zip(U.tolist(), Y):
+            if k:
+                X, P = predict(f, X, P, u_prev, Ts, Q)
+                try:
+                    X, P_joseph, innov[k] = update(X, P, y, C, R)
+                except SingularInnovationError:
+                    check_overflow(X, P, bound)    # a blow-up is divergence
+                    raise
+                P = symmetrized(P_joseph)
+                check_overflow(X, P, bound)
+                est[k] = X
+                if k % 100 == 0:
+                    np.maximum(asym, np.abs(
+                        P_joseph - P_joseph.swapaxes(1, 2)).max(axis=(1, 2)),
+                        out=asym)
+                    eig = np.linalg.eigvalsh(P)
+                    eig_ratio = np.minimum(
+                        eig_ratio, eig[:, 0] / np.maximum(eig[:, -1], 1e-300))
+            k, u_prev = k + 1, u
+    return est, innov, [(k - 1, a, r) for a, r in zip(
         asym.tolist(), eig_ratio.tolist())]
 
 
-def _scenario_trace(sc, cols: dict, channel: str, health, laps,
-                    **meta) -> SimTrace:
+def _scenario_trace(sc, cols: dict, channel: str, health, started: float,
+                    times: dict, **meta) -> SimTrace:
     """
     Finish a scenario trace: the windowed ``obs_violated`` flag is set where
     the recent |``channel``| never reached the threshold; ``meta`` gains the
-    grid, the flag settings, the covariance health of all filters and the
-    stage timings from ``laps``, the clock at the start and after each of
-    plant, channels and filters.
+    grid, the flag settings, the covariance health of all filters, the
+    ``times`` and the wall time since ``started``.
     """
     width = max(int(round(sc.flag_window / sc.trace_dt)), 1)
     channel_max = rolling_abs_max(cols[channel], width)
@@ -391,9 +454,9 @@ def _scenario_trace(sc, cols: dict, channel: str, health, laps,
         "ekf_p_max_asym": max((h[1] for h in health), default=0.0),
         "ekf_p_min_eig_ratio": min(h[2] for h in health) if steps
         else math.nan,
-        "timings": {stage: b - a for stage, a, b in zip(
-            ("plant", "channels", "filters"), laps, laps[1:])},
-        "wall_time_s": time.perf_counter() - laps[0]})
+        "timings": {k: times[k] for k in ("plant", "channels", "filters")},
+        "plant_busy_s": times["plant_busy_s"],
+        "wall_time_s": time.perf_counter() - started})
     return SimTrace(columns=cols, meta=meta)
 
 
@@ -407,53 +470,42 @@ _WRSM_PLANT = ("t", "omega", "theta", "i_sa", "i_sb", "i_f", "i_sd", "i_sq",
                "margin")
 
 
-def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
-    """Simulate the WRSM scenario; returns the trace on the filter grid."""
-    laps = [time.perf_counter()]
-    p = sc.params
-    machine = SynchronousMachine(p)
-    dt = sc.dt_sim
-    n_steps, n_sub, n_trace = _grid(sc)
+def _wrsm_start(sc: WrsmScenario):
+    """Plant state ``(i_a, i_b, i_f, theta)`` at t = 0, at the setpoints."""
+    theta0 = sc.speed_profile.integral(0.0)
+    iab0 = park([sc.i_d_ref, sc.i_q_ref], theta0, "to_ab")
+    return float(iab0[0]), float(iab0[1]), sc.i_f_profile.value(0.0), theta0
 
-    speed = sc.speed_profile
-    i_f_ref_profile = sc.i_f_profile
-    rates = machine.rates
+
+def _wrsm_plant(sc: WrsmScenario):
+    """WRSM plant stage: PI current control, RK4 on the currents and
+    observability-vector tracking on the dt_sim grid; yields each chunk's
+    trace rows as an ``(r, 20)`` array of the columns ``_WRSM_PLANT``."""
+    p, dt = sc.params, sc.dt_sim
+    n_steps, n_sub, _ = _grid(sc)
+    rates = SynchronousMachine(p).rates
+    ia, ib, i_f, _ = _wrsm_start(sc)
 
     # PI gains from pole placement on the decoupled loops
     pi_d = PiController(sc.bw_dq * p.L_d, sc.bw_dq * p.R_s,
                         -sc.v_limit, sc.v_limit, integral=p.R_s * sc.i_d_ref)
     pi_q = PiController(sc.bw_dq * p.L_q, sc.bw_dq * p.R_s,
                         -sc.v_limit, sc.v_limit, integral=p.R_s * sc.i_q_ref)
-    i_f0 = i_f_ref_profile.value(0.0)
     pi_f = PiController(sc.bw_f * p.L_f, sc.bw_f * p.R_f,
                         -sc.v_limit, sc.v_limit)
 
-    # plant starts settled at the setpoints
-    theta0 = speed.integral(0.0)
-    iab0 = park([sc.i_d_ref, sc.i_q_ref], theta0, "to_ab")
-    ia, ib, i_f = float(iab0[0]), float(iab0[1]), i_f0
-
-    ekf = None
-    if sc.run_ekf:
-        x0_est = np.array([ia, ib, i_f, 0.0, theta0 + sc.theta0_error])
-        cfg = EkfConfig(Q=np.diag(sc.ekf_q_diag), R=np.diag(sc.ekf_r_diag),
-                        P0=np.diag(sc.ekf_p0_diag), x0=x0_est, Ts=sc.trace_dt)
-        ekf = make_ekf(machine, cfg)
-
-    # filtered vector-angle velocity state
-    theta_o_prev = None
-    omega_o_filt = 0.0
+    theta_o_prev, omega_o_filt = None, 0.0    # vector-angle velocity filter
     alpha = dt / (sc.omega_o_filter_tau + dt)
     h2, h6 = 0.5 * dt, dt / 6.0     # RK4 stage and weight factors
 
-    L_oq = p.L_delta - p.field_coupling
-    LD, Mf = p.L_delta, p.M_f
-    rows = np.zeros((n_trace, len(_WRSM_PLANT)))
+    LD, Mf, L_oq = p.L_delta, p.M_f, p.L_delta - p.field_coupling
 
     for c0, t_c, tm_c, t2_c in _chunks(n_steps, dt):
         (w_c, th_c, _), (w_m, th_m, _), (w_2, th_2, _) = (
-            _lists(*speed.sample(times)) for times in (t_c, tm_c, t2_c))
-        i_f_refs, _, di_f_refs = _lists(*i_f_ref_profile.sample(t_c))
+            _lists(*sc.speed_profile.sample(times))
+            for times in (t_c, tm_c, t2_c))
+        i_f_refs, _, di_f_refs = _lists(*sc.i_f_profile.sample(t_c))
+        rows = []
         for j, t in enumerate(t_c.tolist()):
             s = c0 + j
             w, th = w_c[j], th_c[j]
@@ -485,10 +537,10 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
                 theta_o_prev = th_o
 
             if s % n_sub == 0:
-                rows[s // n_sub] = (t, w, th, ia, ib, i_f, i_d, i_q, va, vb,
-                                    v_f, sc.i_d_ref, sc.i_q_ref, i_f_ref,
-                                    float(saturated), psi_od, psi_oq, th_o,
-                                    omega_o_filt, w - omega_o_filt)
+                rows.append((t, w, th, ia, ib, i_f, i_d, i_q, va, vb, v_f,
+                             sc.i_d_ref, sc.i_q_ref, i_f_ref,
+                             float(saturated), psi_od, psi_oq, th_o,
+                             omega_o_filt, w - omega_o_filt))
 
             if s < n_steps:
                 # RK4 on the currents; speed and position follow the profile
@@ -505,8 +557,29 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
                 ia += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
                 ib += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                 i_f += h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        if rows:
+            yield np.array(rows)
 
-    laps.append(time.perf_counter())
+
+def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
+    """Simulate the WRSM scenario; returns the trace on the filter grid."""
+    started = time.perf_counter()
+    p = sc.params
+    machine = SynchronousMachine(p)
+
+    ia, ib, i_f, theta0 = _wrsm_start(sc)
+    filters = [make_ekf(machine, EkfConfig(
+        Q=np.diag(sc.ekf_q_diag), R=np.diag(sc.ekf_r_diag),
+        P0=np.diag(sc.ekf_p0_diag), Ts=sc.trace_dt,
+        x0=[ia, ib, i_f, 0.0, theta0 + sc.theta0_error]))] if sc.run_ekf \
+        else []
+    noisy = _noise(sc.noise_std, sc.seed)
+    # inputs v_sa, v_sb, v_f; measurements i_sa, i_sb, i_f
+    rows, filtered, times = _overlapped(
+        started, _wrsm_plant, (sc,), len(_WRSM_PLANT), filters,
+        lambda block: (block[:, 8:11], [noisy(block[:, 3:6])]))
+
+    lap = time.perf_counter()
     cols = dict(zip(_WRSM_PLANT, rows.T))
     theta = cols["theta"]
     cols["theta"] = wrap_angle(theta)
@@ -514,23 +587,17 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     # closed-form channels on the trace columns
     c1, s1 = np.cos(theta), np.sin(theta)
     w, i_d, i_q, i_f = cols["omega"], cols["i_sd"], cols["i_sq"], cols["i_f"]
-    dia, dib, dif = rates(cols["i_sa"], cols["i_sb"], i_f, w, c1, s1,
-                          cols["v_sa"], cols["v_sb"], cols["v_f"])
+    dia, dib, dif = machine.rates(cols["i_sa"], cols["i_sb"], i_f, w, c1, s1,
+                                  cols["v_sa"], cols["v_sb"], cols["v_f"])
     did = (c1 * dia + s1 * dib) + w * i_q
     diq = (-s1 * dia + c1 * dib) - w * i_d
     det_sm = sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif)
     ratio = sm_condition_ratio(p, i_d, i_q, i_f)
-    laps.append(time.perf_counter())
+    times["channels"] = time.perf_counter() - lap
 
-    if ekf is not None:
-        Y = np.column_stack([cols["i_sa"], cols["i_sb"], cols["i_f"]])
-        U = np.column_stack([cols["v_sa"], cols["v_sb"], cols["v_f"]])
-        est, innov, health = _run_filter(
-            [ekf], U, [_noisy(Y, sc.noise_std, sc.seed)])
-    else:
-        est, innov, health = (np.full((n_trace, 1, 5), math.nan),
-                              np.full((n_trace, 1, 3), math.nan), [])
-    laps.append(time.perf_counter())
+    n = len(rows)
+    est, innov, health = filtered or (np.full((n, 1, 5), math.nan),
+                                      np.full((n, 1, 3), math.nan), [])
     est, innov = est[:, 0], innov[:, 0]
 
     cols.update({
@@ -543,7 +610,7 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     })
 
     return _scenario_trace(
-        sc, cols, "margin", health, laps, machine="wrsm",
+        sc, cols, "margin", health, started, times, machine="wrsm",
         injection_windows=[list(wdw) for wdw in sc.injection_windows],
         theta0_error=sc.theta0_error,
         pi_saturated_samples=int(np.sum(cols["pi_saturated"] > 0)))
@@ -574,23 +641,29 @@ def _im_ekf_config(sc: ImScenario, machine: InductionMachine,
 
 def run_im_scenario(sc: ImScenario) -> SimTrace:
     """Simulate the IM scenario with both filters; trace on the filter grid."""
-    laps = [time.perf_counter()]
+    started = time.perf_counter()
     p = sc.params
     machine = InductionMachine(p)
-    kr = p.k_r
-    L_sig = p.L_sigma
+    kr, L_sig = p.k_r, p.L_sigma
 
     # the with-speed and the sensorless filter: one bank
     filters = [make_ekf(machine, _im_ekf_config(sc, machine, speed_measured),
                         speed_measured=speed_measured)
                for speed_measured in (True, False)] if sc.run_ekf else []
+    noisy = _noise(sc.noise_std * L_sig, sc.seed)
 
-    t, X, V, omega_s_cmd, omega_s = _integrate_im(sc, scaled=True)
-    n = len(t)
-    laps.append(time.perf_counter())
+    def measure(block):    # inputs v_a, v_b; currents, speed omega_e
+        y_i = noisy(block[:, 1:3])
+        return block[:, 7:9], [np.column_stack([y_i, block[:, 5]]), y_i]
+
+    rows, filtered, times = _overlapped(started, _im_plant, (sc,),
+                                        11, filters, measure)
+    t, X, V = rows[:, 0], rows[:, 1:7], rows[:, 7:9]
+    omega_s_cmd, omega_s = rows[:, 9], rows[:, 10]
 
     # closed-form channels on the trace columns; the line distance is NaN
     # where the flux is too small to define the slip
+    lap = time.perf_counter()
     ia, ib, pa, pb, we, Tr = X.T
     xdot = machine.rates(ia, ib, pa, pb, we, Tr, V[:, 0], V[:, 1])
     T_m = (p.p / L_sig) * (ib * pa - ia * pb)
@@ -600,18 +673,12 @@ def run_im_scenario(sc: ImScenario) -> SimTrace:
     det_sensorless = im_determinant(p, "sensorless", X.T, xdot)
     line_distance = we + slip_frequency(
         p, T_m, np.where(psi_rd > 1e-9, psi_rd, math.nan))
-    laps.append(time.perf_counter())
+    times["channels"] = time.perf_counter() - lap
 
-    if filters:
-        y_i = _noisy(X[:, :2], sc.noise_std * L_sig, sc.seed)
-        est, innov, health = _run_filter(
-            filters, V, [np.column_stack([y_i, X[:, 4]]), y_i])
-    else:
-        est, innov, health = (np.full((n, 2, 6), math.nan),
-                              np.full((n, 2, 3), math.nan), [])
+    est, innov, health = filtered or (np.full((len(t), 2, 6), math.nan),
+                                      np.full((len(t), 2, 3), math.nan), [])
     flux_err = np.hypot(est[..., 2].T - pa, est[..., 3].T - pb) / np.maximum(
         np.hypot(pa, pb), 1e-12)
-    laps.append(time.perf_counter())
 
     # physical units, in place so that each trace column is a view
     for A in (X, est):
@@ -633,5 +700,5 @@ def run_im_scenario(sc: ImScenario) -> SimTrace:
             f"{tag}_innov_a": innov[:, b, 0], f"{tag}_innov_b": innov[:, b, 1]})
     cols["spd_innov_w"] = innov[:, 0, 2]
 
-    return _scenario_trace(sc, cols, "im_cond", health, laps,
+    return _scenario_trace(sc, cols, "im_cond", health, started, times,
                            machine="im", dwell=list(sc.dwell))

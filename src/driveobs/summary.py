@@ -88,11 +88,7 @@ def summarize_wrsm(trace: SimTrace) -> dict:
         "flag_cleared_in_window": _window_check(
             inj1, not np.any(violated[inj1])),
     }
-    summary = {
-        "schema": SUMMARY_SCHEMA,
-        "machine": "wrsm",
-        "t_end": meta["t_end"],
-        "obs_threshold": meta["obs_threshold"],
+    return {
         "injection_windows": windows,
         "violated_intervals": intervals,
         "determinant": {"min": _nanmin(trace["det_sm"]),
@@ -107,10 +103,7 @@ def summarize_wrsm(trace: SimTrace) -> dict:
             trace, ["innov_a", "innov_b", "innov_f"]),
         "pi_saturated_samples": meta.get("pi_saturated_samples", 0),
         "checks": checks,
-        "wall_time_s": meta.get("wall_time_s", math.nan),
-        "timings": meta.get("timings", {}),
     }
-    return summary
 
 
 def summarize_im(trace: SimTrace) -> dict:
@@ -138,11 +131,7 @@ def summarize_im(trace: SimTrace) -> dict:
             < meta["obs_threshold"]),
         "flag_set_in_dwell": _window_check(dwell, np.all(violated[dwell])),
     }
-    summary = {
-        "schema": SUMMARY_SCHEMA,
-        "machine": "im",
-        "t_end": meta["t_end"],
-        "obs_threshold": meta["obs_threshold"],
+    return {
         "dwell": meta["dwell"],
         "violated_intervals": intervals,
         "determinant": {
@@ -162,16 +151,18 @@ def summarize_im(trace: SimTrace) -> dict:
             trace, ["spd_innov_a", "spd_innov_b", "spd_innov_w",
                     "sl_innov_a", "sl_innov_b"]),
         "checks": checks,
-        "wall_time_s": meta.get("wall_time_s", math.nan),
-        "timings": meta.get("timings", {}),
     }
-    return summary
 
 
 def summarize(trace: SimTrace) -> dict:
-    kind = trace.meta.get("machine")
-    if kind == "wrsm":
-        return summarize_wrsm(trace)
-    if kind == "im":
-        return summarize_im(trace)
-    raise ValueError(f"no summary for machine kind {kind!r}")
+    """The checks of the trace's scenario kind plus the run's facts."""
+    meta = trace.meta
+    kind = meta.get("machine")
+    if kind not in ("wrsm", "im"):
+        raise ValueError(f"no summary for machine kind {kind!r}")
+    return {**(summarize_wrsm if kind == "wrsm" else summarize_im)(trace),
+            "schema": SUMMARY_SCHEMA, "machine": kind, "t_end": meta["t_end"],
+            "obs_threshold": meta["obs_threshold"],
+            "wall_time_s": meta.get("wall_time_s", math.nan),
+            "timings": meta.get("timings", {}),
+            "plant_busy_s": meta.get("plant_busy_s", math.nan)}

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, file outputs, published schemas."""
 
 import json
+import math
+import multiprocessing
 import subprocess
 import sys
 
@@ -14,7 +16,8 @@ from driveobs.lie import machine_observability_matrix
 from driveobs.machines import make_machine
 from driveobs.observability import observability_report
 from driveobs.params import IM_DEFAULT, MACHINE_KINDS, params_from_dict
-from driveobs.trace import CSV_ROWS, SimTrace
+from driveobs.profiles import ProfileDomainError
+from driveobs.trace import CSV_ROWS, SimTrace, write_rows
 
 RNG = np.random.default_rng(3)
 
@@ -170,6 +173,20 @@ def test_to_csv_streams_the_same_bytes(tmp_path):
         (tmp_path / "one_shot.csv").read_bytes()
 
 
+def test_write_rows_matches_savetxt_bytes(tmp_path):
+    # more than one block; NaN, infinities, signed zeros and extremes
+    table = RNG.normal(0.0, 1e3, (CSV_ROWS + 5, 4))
+    table[::7, 0] = math.nan
+    table[1, :] = [-0.0, math.inf, -math.inf, 5e-324]
+    table[2, :] = [1e308, -1e-308, 0.0, 123456789012345.0]
+    with open(tmp_path / "rows.csv", "w", encoding="ascii") as fh:
+        write_rows(fh, table)
+    with open(tmp_path / "savetxt.csv", "w", encoding="ascii") as fh:
+        np.savetxt(fh, table, fmt="%.12g", delimiter=",")
+    assert (tmp_path / "rows.csv").read_bytes() == \
+        (tmp_path / "savetxt.csv").read_bytes()
+
+
 def test_simulate_rejects_negative_seed_option(tmp_path, capsys):
     cfg = write_cfg(tmp_path, short_im_cfg())
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
@@ -219,12 +236,43 @@ def check_stage_timings(summary):
     assert stages <= summary["wall_time_s"]
 
 
+def failing_plant_rates(params):
+    raise ProfileDomainError("t = 9 outside profile domain [0, 8.5]")
+
+
+def test_simulate_plant_error_in_worker_exit_3(tmp_path, capsys,
+                                               monkeypatch):
+    # the plant runs in a worker process; its error keeps its type there
+    from driveobs import scenarios
+    monkeypatch.setattr(scenarios, "im_rates", failing_plant_rates)
+    cfg = write_cfg(tmp_path, short_im_cfg())
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.splitlines() == ["driveobs: simulation failed: t = 9 outside "
+                                "profile domain [0, 8.5]"]
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the plant worker imports multiprocessing when a scenario runs, so it
+    # adds nothing to the start-up of every command
+    proc = subprocess.run(
+        [sys.executable, "-c", "import driveobs.cli, sys; "
+         "print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_simulate_summary_stage_timings(tmp_path):
     cfg = write_cfg(tmp_path, short_wrsm_cfg())
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 0
-    check_stage_timings(
-        json.loads((tmp_path / "out" / "summary.json").read_text()))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    check_stage_timings(summary)
+    # the plant worker's own time for the rows
+    assert summary["plant_busy_s"] > 0.0
 
 
 @pytest.mark.parametrize("kind", ["wrsm", "im"])

@@ -456,6 +456,29 @@ def test_report_spmsm_spinning_guaranteed():
     assert rep.margin == pytest.approx(100.0, rel=1e-9)
 
 
+def test_report_margin_measures_the_determinant_zero_set():
+    # a field machine whose vector has a q component: the determinant
+    # vanishes at omega = ratio * omega_o with ratio != 1, where the
+    # distance to omega_o alone is hundreds of rad/s
+    p = WRSM_DEFAULT
+    ratio = sm_condition_ratio(p, 0.0, 1.0, 0.0)
+    omega_o = sm_omega_o(p, 0.0, 1.0, 0.0, di_f=10.0)
+    assert ratio == pytest.approx(0.6178, rel=1e-4)
+    assert abs(omega_o - ratio * omega_o) > 300.0
+    machine = SynchronousMachine(p)
+    for omega, guaranteed in ((ratio * omega_o, False),
+                              (ratio * omega_o + 3.0, True)):
+        x, u = sm_operating_point(p, omega, 0.0, 1.0, i_f=0.0, di_f=10.0)
+        rep = observability_report(machine, x, u)
+        assert rep.guaranteed is guaranteed
+        # the margin and the determinant vanish together
+        assert rep.margin == pytest.approx(omega - ratio * omega_o,
+                                           abs=1e-9)
+        if not guaranteed:
+            assert abs(rep.margin) < 1e-9
+            assert abs(rep.determinant) < 1e-12
+
+
 def test_report_im_with_speed_always_guaranteed():
     machine = InductionMachine(IM_DEFAULT)
     x, u, _ = im_steady_operating_point(IM_DEFAULT, -1.5, 10.0, 0.05)

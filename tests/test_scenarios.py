@@ -2,7 +2,9 @@
 loss, plus trace-level invariants."""
 
 import dataclasses
+import itertools
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -14,14 +16,15 @@ from driveobs.profiles import Segment, SignalProfile
 from driveobs.ekf import (EkfConfig, EkfDivergenceError,
                           SingularInnovationError, ekf_predict, ekf_update,
                           make_ekf)
-from driveobs.scenarios import (CHUNK, ImScenario, WrsmScenario,
-                                _im_ekf_config, _integrate_im, _run_filter,
+from driveobs.scenarios import (CHUNK, ImScenario, PlantWorkerError,
+                                WrsmScenario, _WRSM_PLANT, _im_ekf_config,
+                                _im_plant, _run_filter, _wrsm_plant,
                                 default_field_setpoint_profile,
                                 im_rates, im_rates_unscaled, run_im_scenario,
                                 run_im_truth, run_wrsm_scenario,
                                 wrsm_current_rates)
 from driveobs.machines import (J2, InductionMachine, SynchronousMachine,
-                               make_machine)
+                               make_machine, wrap_angle)
 from driveobs.params import IM_DEFAULT, WRSM_DEFAULT
 
 RNG = np.random.default_rng(9)
@@ -405,7 +408,8 @@ def im_bank(t_end, noise=1.0):
     measurements on a short run."""
     isc = short_im_scenario(t_end)
     machine = InductionMachine(isc.params)
-    _, X, V, _, _ = _integrate_im(isc, scaled=True)
+    rows = np.concatenate(list(_im_plant(isc)))
+    X, V = rows[:, 1:7], rows[:, 7:9]
     y_i = X[:, :2] + RNG.normal(0.0, noise * isc.params.L_sigma, (len(X), 2))
     insts = [make_ekf(machine, _im_ekf_config(isc, machine, speed_measured),
                       speed_measured=speed_measured)
@@ -430,7 +434,7 @@ def test_run_filter_matches_public_steps_bit_for_bit():
               [Y + RNG.normal(0.0, 0.05, Y.shape)]),
              im_bank(0.03)]
     for insts, U, Ys in banks:
-        est, innov, health = _run_filter(insts, U, Ys)
+        est, innov, health = _run_filter(insts, len(U), [(U, Ys)])
         assert est.shape[:2] == innov.shape[:2] == (len(U), len(insts))
         for b, (inst, Y) in enumerate(zip(insts, Ys)):
             ref_est, ref_innov, ref_health = reference_filter(inst, U, Y)
@@ -457,9 +461,9 @@ def test_filter_bank_divergence_in_one_member(where, value):
     else:               # caught after the update
         Ys[1] = Ys[1].copy()
         Ys[1][50, 0] = value
-    _run_filter([insts[0]], U, Ys[:1])
+    _run_filter([insts[0]], len(U), [(U, Ys[:1])])
     with pytest.raises(EkfDivergenceError):
-        _run_filter(insts, U, Ys)
+        _run_filter(insts, len(U), [(U, Ys)])
 
 
 def test_filter_bank_divergence_in_predict_alone():
@@ -470,7 +474,7 @@ def test_filter_bank_divergence_in_predict_alone():
     insts[0] = dataclasses.replace(insts[0], config=dataclasses.replace(
         cfg, overflow=np.abs(cfg.P0).max() * (1.0 + 1e-9)))
     with pytest.raises(EkfDivergenceError):
-        _run_filter(insts, U, Ys)
+        _run_filter(insts, len(U), [(U, Ys)])
 
 
 def test_filter_bank_nan_prediction_rejected_by_cholesky():
@@ -481,7 +485,7 @@ def test_filter_bank_nan_prediction_rejected_by_cholesky():
     x[2] = math.nan
     insts[1] = dataclasses.replace(insts[1], x=x)
     with pytest.raises(EkfDivergenceError):
-        _run_filter(insts, U, Ys)
+        _run_filter(insts, len(U), [(U, Ys)])
 
 
 def test_filter_bank_singular_innovation_in_one_member():
@@ -489,9 +493,118 @@ def test_filter_bank_singular_innovation_in_one_member():
     cfg = dataclasses.replace(insts[1].config)
     object.__setattr__(cfg, "R", -cfg.R)    # corrupt past validation
     insts[1] = dataclasses.replace(insts[1], config=cfg)
-    _run_filter([insts[0]], U, Ys[:1])
+    _run_filter([insts[0]], len(U), [(U, Ys[:1])])
     with pytest.raises(SingularInnovationError):
-        _run_filter(insts, U, Ys)
+        _run_filter(insts, len(U), [(U, Ys)])
+
+
+# ---------------------------------------------------------------------------
+# the plant streamed from a worker process, the filters in the caller
+
+
+def test_streamed_scenarios_match_in_process_runs_bit_for_bit():
+    # more than three input chunks, the last one partial, noise on: the
+    # scenario's plant columns are an in-process drain of its plant
+    # generator, and its filters those of a whole-trace run with the noise
+    # drawn at once
+    dt, t_end = 1e-5, 0.035
+    n_steps = round(t_end / dt)
+    assert n_steps + 1 > 3 * CHUNK and (n_steps + 1) % CHUNK
+    isc = ImScenario(t_end=t_end, dt_sim=dt, trace_dt=1e-4, noise_std=1.0,
+                     seed=5)
+    trace = run_im_scenario(isc)
+    rows = np.concatenate(list(_im_plant(isc)))
+    p = isc.params
+    for name, j, scale in (("t", 0, 1.0), ("i_sa", 1, p.L_sigma),
+                           ("i_sb", 2, p.L_sigma), ("psi_ra", 3, p.k_r),
+                           ("psi_rb", 4, p.k_r), ("omega_e", 5, 1.0),
+                           ("T_r", 6, 1.0), ("v_sa", 7, 1.0),
+                           ("v_sb", 8, 1.0), ("omega_s_cmd", 9, 1.0),
+                           ("omega_s", 10, 1.0)):
+        assert np.array_equal(trace[name], rows[:, j] / scale), name
+    machine = InductionMachine(p)
+    insts = [make_ekf(machine, _im_ekf_config(isc, machine, speed_measured),
+                      speed_measured=speed_measured)
+             for speed_measured in (True, False)]
+    y_i = rows[:, 1:3] + np.random.default_rng(5).normal(
+        0.0, p.L_sigma, (len(rows), 2))
+    est, innov, _ = _run_filter(insts, len(rows), [
+        (rows[:, 7:9], [np.column_stack([y_i, rows[:, 5]]), y_i])])
+    for b, tag in enumerate(("spd", "sl")):
+        assert np.array_equal(trace[f"{tag}_omega_e"], est[:, b, 4])
+        assert np.array_equal(trace[f"{tag}_T_r"], est[:, b, 5])
+        assert np.array_equal(trace[f"{tag}_innov_a"], innov[:, b, 0],
+                              equal_nan=True)
+
+    wsc = WrsmScenario(
+        t_end=t_end, noise_std=0.05, seed=3,
+        speed_profile=SignalProfile((Segment.ramp(0.0, t_end, 0.0, 20.0),)),
+        i_f_profile=default_field_setpoint_profile(windows=((0.01, 0.02),)),
+        injection_windows=((0.01, 0.02),))
+    trace = run_wrsm_scenario(wsc)
+    rows = np.concatenate(list(_wrsm_plant(wsc)))
+    rows[:, 2] = wrap_angle(rows[:, 2])    # the trace wraps theta
+    for j, name in enumerate(_WRSM_PLANT):
+        assert np.array_equal(trace[name], rows[:, j], equal_nan=True), name
+    x0 = np.array([*rows[0, 3:6], 0.0, wsc.theta0_error])
+    cfg = EkfConfig(Q=np.diag(wsc.ekf_q_diag), R=np.diag(wsc.ekf_r_diag),
+                    P0=np.diag(wsc.ekf_p0_diag), x0=x0, Ts=wsc.trace_dt)
+    Y = rows[:, 3:6] + np.random.default_rng(3).normal(
+        0.0, 0.05, (len(rows), 3))
+    est, innov, _ = _run_filter([make_ekf(SynchronousMachine(wsc.params),
+                                          cfg)],
+                                len(rows), [(rows[:, 8:11], [Y])])
+    assert np.array_equal(trace["ekf_omega"], est[:, 0, 3])
+    assert np.array_equal(trace["innov_f"], innov[:, 0, 2], equal_nan=True)
+
+
+def overflowing_rates(params):
+    calls = itertools.count()
+    rates = im_rates(params)
+
+    def rates_until_overflow(*args):
+        if next(calls) == 20_000:    # mid-stream: past the first chunks
+            raise OverflowError("plant overflow")
+        return rates(*args)
+    return rates_until_overflow
+
+
+def test_plant_error_in_worker_reraised_with_its_type(monkeypatch):
+    import driveobs.scenarios as scenarios
+
+    monkeypatch.setattr(scenarios, "im_rates", overflowing_rates)
+    with pytest.raises(OverflowError, match="plant overflow"):
+        run_im_scenario(short_im_scenario(0.1))
+    assert multiprocessing.active_children() == []
+
+
+def test_filter_divergence_mid_stream_stops_the_worker(monkeypatch):
+    import driveobs.scenarios as scenarios
+
+    real_update = scenarios.update
+    calls = itertools.count()
+
+    def diverging(X, P, *args):
+        X, P, innov = real_update(X, P, *args)
+        return (X * math.nan if next(calls) == 5 else X), P, innov
+
+    monkeypatch.setattr(scenarios, "update", diverging)
+    with pytest.raises(EkfDivergenceError):
+        run_im_scenario(short_im_scenario(1.0))
+    assert multiprocessing.active_children() == []
+
+
+def silent_worker(conn, plant, args):
+    conn.close()
+
+
+def test_worker_without_rows_or_error_raises_typed_error(monkeypatch):
+    import driveobs.scenarios as scenarios
+
+    monkeypatch.setattr(scenarios, "_plant_worker", silent_worker)
+    with pytest.raises(PlantWorkerError):
+        run_im_scenario(short_im_scenario(0.01))
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
