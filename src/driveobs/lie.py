@@ -1,8 +1,9 @@
 """Numeric observability-matrix builder from Lie derivatives of the output.
 
 Acts as an independent cross-check for the closed-form rank-condition
-determinants: rows are Jacobians of successive output time-derivatives,
-everything differentiated by central finite differences.
+determinants: rows are Jacobians of successive output time-derivatives.
+The output selects states, so orders 0 and 1 and the order-0 rows are exact;
+the rest comes from central finite differences of ``f``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 SV_RANK_RTOL = 1e-9  # singular values below this fraction of the largest count as zero
 
 # relative finite-difference steps: inside each output derivative, for the
-# rows of orders 0 and 1, and for the fourth-order stencil of order-2 rows
+# rows of order 1, and for the fourth-order stencil of order-2 rows
 INNER_STEP = 1e-5
 ROW_STEP = 1e-6
 ROW_STEP_HIGH = 2e-3
@@ -63,37 +64,39 @@ class ObsMatrixResult:
     singular_values: np.ndarray
 
 
-def lie_output_derivative(f, h, x, u, u_dot=None, order: int = 1) -> np.ndarray:
+def lie_output_derivative(f, outputs, x, u, u_dot=None,
+                          order: int = 1) -> np.ndarray:
     """
-    Numeric ``order``-th total time derivative of the output at (x, u).
+    ``order``-th total time derivative of the output ``x[outputs]``.
 
-    Built recursively: order 0 is ``h(x)``; each further order is the
-    state-directional derivative along ``f`` plus the explicit input-rate
-    contribution ``(d(prev)/du)·u_dot``. Input rates beyond the first are
-    not modeled, which limits nonzero ``u_dot`` to order <= 2.
+    Orders 0 and 1 are exact: ``x[outputs]`` and ``f(x, u)[outputs]``. Each
+    further order differentiates the one below along ``f`` and adds
+    ``(d(prev)/du)·u_dot``; higher input rates are not modeled, which limits
+    nonzero ``u_dot`` to order <= 2.
     """
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
+    x, u = np.asarray(x, float), np.asarray(u, float)
+    idx = list(outputs)
     has_udot = u_dot is not None and np.any(np.asarray(u_dot))
     if has_udot and order > 2:
         raise NotImplementedError(
             "orders above 2 would require higher input derivatives")
     if order == 0:
-        return np.asarray(h(x), float)
+        return x[idx]
+    fx = np.asarray(f(x, u), float)
+    if order == 1:
+        return fx[idx]
 
-    def prev_of_x(z):
-        return lie_output_derivative(f, h, z, u, u_dot=None, order=order - 1)
+    def lower(z, w):
+        return lie_output_derivative(f, idx, z, w, order=order - 1)
 
-    val = fd_jacobian(prev_of_x, x, rel_step=INNER_STEP) @ np.asarray(f(x, u), float)
+    val = fd_jacobian(lambda z: lower(z, u), x, rel_step=INNER_STEP) @ fx
     if has_udot:
-        def prev_of_u(w):
-            return lie_output_derivative(f, h, x, w, u_dot=None, order=order - 1)
-
-        val = val + fd_jacobian(prev_of_u, u, rel_step=INNER_STEP) @ np.asarray(u_dot, float)
+        val = val + fd_jacobian(lambda w: lower(x, w), u,
+                                rel_step=INNER_STEP) @ np.asarray(u_dot, float)
     return val
 
 
-def numeric_observability_matrix(f, h, x, u, u_dot=None,
+def numeric_observability_matrix(f, outputs, x, u, u_dot=None,
                                  row_spec: Sequence[Tuple[int, int]] = (),
                                  want_determinant: bool = True) -> ObsMatrixResult:
     """
@@ -101,8 +104,8 @@ def numeric_observability_matrix(f, h, x, u, u_dot=None,
 
     Parameters
     ----------
-    f, h : callable
-        Dynamics ``f(x, u)`` and output map ``h(x)``.
+    f, outputs : callable, sequence of int
+        Dynamics ``f(x, u)`` and the measured states, ``y = x[outputs]``.
     x, u : array_like
         Operating point.
     u_dot : array_like, optional
@@ -112,22 +115,20 @@ def numeric_observability_matrix(f, h, x, u, u_dot=None,
     want_determinant : bool
         If True, require a square selection and report its determinant.
 
-    Rows of derivative order 2 use a wider fourth-order stencil: nesting two
-    central differences amplifies roundoff, and the high-order stencil keeps
+    Order-0 rows are rows of the identity. Order-2 rows nest two central
+    differences, which amplifies roundoff; a wider fourth-order stencil keeps
     the determinant accurate to ~1e-7 relative.
     """
     x = np.asarray(x, float)
     if not row_spec:
         raise ValueError("row_spec must select at least one row")
-    blocks = {}
-    for order in sorted({o for _, o in row_spec}):
+    blocks = {0: np.eye(x.size)[list(outputs)]}
+    for order in sorted({o for _, o in row_spec} - {0}):
         def g(z, order=order):
-            return lie_output_derivative(f, h, z, u, u_dot, order)
+            return lie_output_derivative(f, outputs, z, u, u_dot, order)
 
-        if order <= 1:
-            blocks[order] = fd_jacobian(g, x, rel_step=ROW_STEP)
-        else:
-            blocks[order] = fd_jacobian(g, x, rel_step=ROW_STEP_HIGH, order=4)
+        step, stencil = (ROW_STEP, 2) if order == 1 else (ROW_STEP_HIGH, 4)
+        blocks[order] = fd_jacobian(g, x, rel_step=step, order=stencil)
     M = np.vstack([blocks[o][i] for i, o in row_spec])
 
     det = None
@@ -154,7 +155,6 @@ def numeric_observability_matrix(f, h, x, u, u_dot=None,
 def machine_observability_matrix(machine, x, u, u_dot=None,
                                  speed_measured: bool = False) -> ObsMatrixResult:
     """Numeric observability matrix with the machine's ``lie_rows``."""
-    idx = list(machine.output_indices(speed_measured))
     return numeric_observability_matrix(
-        machine.f, lambda z: z[idx], x, u, u_dot,
+        machine.f, machine.output_indices(speed_measured), x, u, u_dot,
         row_spec=machine.lie_rows(speed_measured))

@@ -276,6 +276,7 @@ class ObservabilityReport:
     margin: float
     rank: int
     condition_number: float
+    singular_values: tuple = ()   # of the equilibrated oracle matrix
     oracle_scale: float = 1.0   # the scaled IM oracle needs no rescaling
     psi_od: float = math.nan
     psi_oq: float = math.nan
@@ -288,6 +289,7 @@ class ObservabilityReport:
             "margin": self.margin,
             "rank": self.rank,
             "condition_number": self.condition_number,
+            "singular_values": list(self.singular_values),
             "oracle_scale": self.oracle_scale,
             "psi_od": self.psi_od,
             "psi_oq": self.psi_oq,
@@ -351,6 +353,7 @@ def observability_report(machine, x, u, u_dot=None,
         margin=float(margin),
         rank=oracle.rank,
         condition_number=oracle.condition_number,
+        singular_values=tuple(oracle.singular_values.tolist()),
         psi_od=psi_od,
         psi_oq=psi_oq,
         guaranteed=bool(guaranteed),

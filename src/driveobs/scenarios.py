@@ -466,8 +466,7 @@ def _scenario_trace(sc, cols: dict, channel: str, health, started: float,
 # trace columns recorded by the closed loop; it records ``theta`` unwrapped
 _WRSM_PLANT = ("t", "omega", "theta", "i_sa", "i_sb", "i_f", "i_sd", "i_sq",
                "v_sa", "v_sb", "v_f", "i_d_ref", "i_q_ref", "i_f_ref",
-               "pi_saturated", "psi_od", "psi_oq", "theta_o", "omega_o",
-               "margin")
+               "pi_saturated", "psi_od", "psi_oq", "theta_o", "omega_o")
 
 
 def _wrsm_start(sc: WrsmScenario):
@@ -480,7 +479,7 @@ def _wrsm_start(sc: WrsmScenario):
 def _wrsm_plant(sc: WrsmScenario):
     """WRSM plant stage: PI current control, RK4 on the currents and
     observability-vector tracking on the dt_sim grid; yields each chunk's
-    trace rows as an ``(r, 20)`` array of the columns ``_WRSM_PLANT``."""
+    trace rows as an ``(r, 19)`` array of the columns ``_WRSM_PLANT``."""
     p, dt = sc.params, sc.dt_sim
     n_steps, n_sub, _ = _grid(sc)
     rates = SynchronousMachine(p).rates
@@ -540,7 +539,7 @@ def _wrsm_plant(sc: WrsmScenario):
                 rows.append((t, w, th, ia, ib, i_f, i_d, i_q, va, vb, v_f,
                              sc.i_d_ref, sc.i_q_ref, i_f_ref,
                              float(saturated), psi_od, psi_oq, th_o,
-                             omega_o_filt, w - omega_o_filt))
+                             omega_o_filt))
 
             if s < n_steps:
                 # RK4 on the currents; speed and position follow the profile
@@ -593,6 +592,11 @@ def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
     diq = (-s1 * dia + c1 * dib) - w * i_d
     det_sm = sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif)
     ratio = sm_condition_ratio(p, i_d, i_q, i_f)
+    # the distance to the determinant's zero set omega = ratio * omega_o, in
+    # the column after omega_o; a zero observability vector (NaN ratio)
+    # reads 0, not guaranteed
+    cols["margin"] = np.where(np.isnan(ratio), 0.0,
+                              w - ratio * cols["omega_o"])
     times["channels"] = time.perf_counter() - lap
 
     n = len(rows)

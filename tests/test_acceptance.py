@@ -45,45 +45,55 @@ def sm_closed_form(machine, x, u):
                           didq[0], didq[1], di_f)
 
 
-def random_point(kind, machine):
+def random_point(kind, machine, rng=RNG):
     if kind in ("wrsm", "hesm"):
-        x = np.array([RNG.normal(0, 10), RNG.normal(0, 10), RNG.normal(0, 5),
-                      RNG.normal(0, 100), RNG.uniform(-np.pi, np.pi)])
-        u = RNG.normal(0, 20, 3)
+        x = np.array([rng.normal(0, 10), rng.normal(0, 10), rng.normal(0, 5),
+                      rng.normal(0, 100), rng.uniform(-np.pi, np.pi)])
+        u = rng.normal(0, 20, 3)
         ud = np.zeros(3)
     elif kind in ("ipmsm", "spmsm", "syrm"):
-        x = np.array([RNG.normal(0, 10), RNG.normal(0, 10),
-                      RNG.normal(0, 100), RNG.uniform(-np.pi, np.pi)])
-        u = RNG.normal(0, 20, 2)
+        x = np.array([rng.normal(0, 10), rng.normal(0, 10),
+                      rng.normal(0, 100), rng.uniform(-np.pi, np.pi)])
+        u = rng.normal(0, 20, 2)
         ud = np.zeros(2)
     elif kind == "im":
-        x = RNG.normal(0, 1, 6) * np.array([2e-3, 2e-3, 0.05, 0.05, 100, 5])
-        u = RNG.normal(0, 1, 2)
-        ud = RNG.normal(0, 10, 2)
+        x = rng.normal(0, 1, 6) * np.array([2e-3, 2e-3, 0.05, 0.05, 100, 5])
+        u = rng.normal(0, 1, 2)
+        ud = rng.normal(0, 10, 2)
     else:
-        x = np.array([RNG.normal(0, 5), RNG.normal(0, 50), RNG.normal(0, 1)])
-        u = RNG.normal(0, 10, 1)
-        ud = RNG.normal(0, 10, 1)
+        x = np.array([rng.normal(0, 5), rng.normal(0, 50), rng.normal(0, 1)])
+        u = rng.normal(0, 10, 1)
+        ud = rng.normal(0, 10, 1)
     return x, u, ud
+
+
+# the eight machine rows: label, machine, speed measured (IM only)
+FAMILIES = (
+    ("pm_dcm", make_machine("pm_dcm"), None),
+    ("series_dcm", make_machine("series_dcm"), None),
+    ("wrsm", SynchronousMachine(WRSM_DEFAULT), None),
+    ("ipmsm", SynchronousMachine(IPMSM_DEFAULT), None),
+    ("spmsm", SynchronousMachine(SPMSM_DEFAULT), None),
+    ("syrm", SynchronousMachine(SYRM_DEFAULT), None),
+    ("im_with_speed", InductionMachine(IM_DEFAULT), True),
+    ("im_sensorless", InductionMachine(IM_DEFAULT), False),
+)
+
+# ``f`` calls per oracle matrix over n states and m inputs: 2n for the
+# order-1 rows; for order-2 rows 4n stencil points of 2n + 1 calls, plus 2m
+# when the input rate is nonzero
+F_CALLS_PER_MATRIX = {"pm_dcm": 114, "series_dcm": 114, "wrsm": 10,
+                      "ipmsm": 8, "spmsm": 8, "syrm": 8, "im_with_speed": 12,
+                      "im_sensorless": 420}
 
 
 def test_criterion_1_closed_form_oracle_equivalence():
     """All eight machine rows match the numeric oracle at 100 points each."""
     t0 = time.perf_counter()
     n_points = 100
-    families = [
-        ("pm_dcm", make_machine("pm_dcm"), None),
-        ("series_dcm", make_machine("series_dcm"), None),
-        ("wrsm", SynchronousMachine(WRSM_DEFAULT), None),
-        ("ipmsm", SynchronousMachine(IPMSM_DEFAULT), None),
-        ("spmsm", SynchronousMachine(SPMSM_DEFAULT), None),
-        ("syrm", SynchronousMachine(SYRM_DEFAULT), None),
-        ("im_with_speed", InductionMachine(IM_DEFAULT), True),
-        ("im_sensorless", InductionMachine(IM_DEFAULT), False),
-    ]
     parts = {}
     ratios = []
-    for label, machine, speed_measured in families:
+    for label, machine, speed_measured in FAMILIES:
         worst = 0.0
         for _ in range(n_points):
             kind = machine.kind
@@ -113,6 +123,20 @@ def test_criterion_1_closed_form_oracle_equivalence():
     parts[f"runtime {elapsed:.1f}s < 10s"] = elapsed < 10.0
     report(1, parts, "closed-form determinants match the Lie-derivative "
                      f"oracle within 1e-4 ({elapsed:.1f} s)")
+
+
+def test_oracle_f_calls_per_matrix(monkeypatch):
+    """The oracle's work, counted without a clock: ``f`` calls per matrix."""
+    rng = np.random.default_rng(11)
+    for label, machine, speed_measured in FAMILIES:
+        x, u, ud = random_point(machine.kind, machine, rng)
+        calls, f = [], machine.f
+        monkeypatch.setattr(machine, "f",
+                            lambda z, w: calls.append(1) or f(z, w))
+        machine_observability_matrix(machine, x, u, ud,
+                                     speed_measured=bool(speed_measured))
+        monkeypatch.undo()
+        assert len(calls) == F_CALLS_PER_MATRIX[label], label
 
 
 def test_criterion_2_im_with_speed_determinant():

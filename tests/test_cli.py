@@ -12,7 +12,7 @@ import pytest
 from driveobs import cli
 from driveobs.cli import main
 from driveobs.config import CONFIG_SCHEMA, bundled_config_path
-from driveobs.lie import machine_observability_matrix
+from driveobs.lie import SV_RANK_RTOL, machine_observability_matrix
 from driveobs.machines import make_machine
 from driveobs.observability import observability_report
 from driveobs.params import IM_DEFAULT, MACHINE_KINDS, params_from_dict
@@ -355,6 +355,17 @@ def test_check_im_on_line_not_guaranteed(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 4
     assert abs(out["margin"]) < 1e-6
+
+
+@pytest.mark.parametrize("omega", [0.0, 100.0])
+def test_check_reports_equilibrated_singular_values(tmp_path, capsys, omega):
+    cfg = write_cfg(tmp_path, sm_check_cfg(omega))
+    main(["check", "--config", cfg])
+    out = json.loads(capsys.readouterr().out)
+    sv = np.array(out["singular_values"])
+    assert sv.shape == (4,) and np.all(np.diff(sv) <= 0.0)
+    assert out["rank"] == np.sum(sv > SV_RANK_RTOL * sv[0])
+    assert out["rank"] == (3 if omega == 0.0 else 4)
 
 
 def test_check_dcm_sanity_bundled(capsys):

@@ -13,12 +13,8 @@ from driveobs.params import IM_DEFAULT, PM_DCM_DEFAULT, WRSM_DEFAULT
 RNG = np.random.default_rng(5)
 
 
-def armature_current(x):
-    return x[:1]
-
-
-def stator_currents(x):
-    return x[:2]
+ARMATURE_CURRENT = (0,)
+STATOR_CURRENTS = (0, 1)
 
 
 def kalman_matrix_pm_dcm():
@@ -84,9 +80,9 @@ def test_nonsquare_requires_flag():
     x = np.array([1.0, 1.0, 0.0])
     u = np.array([1.0])
     with pytest.raises(DimensionMismatchError):
-        numeric_observability_matrix(m.f, armature_current, x, u,
+        numeric_observability_matrix(m.f, ARMATURE_CURRENT, x, u,
                                      row_spec=((0, 0), (0, 1)))
-    res = numeric_observability_matrix(m.f, armature_current, x, u,
+    res = numeric_observability_matrix(m.f, ARMATURE_CURRENT, x, u,
                                        row_spec=((0, 0), (0, 1)),
                                        want_determinant=False)
     assert res.determinant is None
@@ -96,14 +92,14 @@ def test_nonsquare_requires_flag():
 def test_high_order_with_input_rate_unsupported():
     m = make_machine("pm_dcm")
     with pytest.raises(NotImplementedError):
-        lie_output_derivative(m.f, armature_current, np.zeros(3), np.ones(1),
+        lie_output_derivative(m.f, ARMATURE_CURRENT, np.zeros(3), np.ones(1),
                               u_dot=np.ones(1), order=3)
 
 
 def test_zero_order_is_output():
     m = make_machine("im")
     x = RNG.normal(0, 1, 6)
-    val = lie_output_derivative(m.f, stator_currents, x,
+    val = lie_output_derivative(m.f, STATOR_CURRENTS, x,
                                 np.zeros(2), order=0)
     assert np.allclose(val, x[:2])
 
@@ -112,8 +108,33 @@ def test_first_order_is_current_rate():
     m = make_machine("im")
     x = RNG.normal(0, 1, 6) * np.array([1e-3, 1e-3, 0.05, 0.05, 50, 5])
     u = RNG.normal(0, 1, 2)
-    val = lie_output_derivative(m.f, stator_currents, x, u, order=1)
+    val = lie_output_derivative(m.f, STATOR_CURRENTS, x, u, order=1)
     assert np.allclose(val, m.f(x, u)[:2], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, speed_measured", [
+    ("pm_dcm", False), ("series_dcm", False), ("wrsm", False),
+    ("ipmsm", False), ("spmsm", False), ("syrm", False), ("im", True),
+    ("im", False)])
+def test_selection_rows_and_first_order_are_exact(kind, speed_measured):
+    """Order-0 rows are identity rows and order 1 is ``f[outputs]``, bit for
+    bit, whatever the input rate."""
+    m = make_machine(kind)
+    x = RNG.normal(0.3, 1.0, m.n_states)
+    u = RNG.normal(0.0, 1.0, m.n_inputs)
+    u_dot = RNG.normal(0.0, 1.0, m.n_inputs)
+    outputs = m.output_indices(speed_measured)
+    res = machine_observability_matrix(m, x, u, u_dot,
+                                       speed_measured=speed_measured)
+    for row, (i, order) in zip(res.matrix, m.lie_rows(speed_measured)):
+        if order == 0:
+            assert np.array_equal(row, np.eye(m.n_states)[outputs[i]])
+    assert np.array_equal(
+        lie_output_derivative(m.f, outputs, x, u, u_dot, order=0),
+        x[list(outputs)])
+    assert np.array_equal(
+        lie_output_derivative(m.f, outputs, x, u, u_dot, order=1),
+        m.f(x, u)[list(outputs)])
 
 
 def test_row_specs_shapes():

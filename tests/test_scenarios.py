@@ -716,6 +716,28 @@ def test_wrsm_channels_match_point_closed_forms():
     assert_channel(trace, "ratio", ratio, rows, 1e-14)
 
 
+def test_wrsm_margin_is_the_distance_to_the_determinant_zero_set():
+    t_end = 0.3
+    sc = WrsmScenario(
+        t_end=t_end, run_ekf=False,
+        speed_profile=SignalProfile((Segment.ramp(0.0, t_end, 0.0, 50.0),)),
+        i_f_profile=default_field_setpoint_profile(windows=((0.1, 0.2),)),
+        injection_windows=((0.1, 0.2),))
+    c = run_wrsm_scenario(sc).columns
+    assert np.all(c["ratio"] < 1.0)    # the field winding takes its share
+    assert np.array_equal(c["margin"], c["omega"] - c["ratio"] * c["omega_o"])
+    # no current and no field: a zero observability vector, NaN ratio, and
+    # the spinning rotor's point is not guaranteed, as ``check`` says
+    zero = run_wrsm_scenario(WrsmScenario(
+        t_end=0.05, run_ekf=False, i_d_ref=0.0, i_q_ref=0.0,
+        speed_profile=SignalProfile.constant(0.0, 1.0, 10.0),
+        i_f_profile=SignalProfile.constant(0.0, 1.0, 0.0),
+        injection_windows=()))
+    assert np.all(np.isnan(zero["ratio"]))
+    assert np.all(zero["margin"] == 0.0)
+    assert np.all(zero["obs_violated"] == 1.0)
+
+
 def test_im_channels_match_point_closed_forms():
     sc = short_im_scenario(0.05, noise_std=0.0)
     trace = run_im_scenario(sc)
