@@ -11,8 +11,6 @@ import json
 import sys
 from importlib import resources
 
-import numpy as np
-
 from .params import (DEFAULT_PARAMS, MACHINE_KINDS, SM_KINDS,
                      params_from_dict, params_to_dict)
 from .profiles import Segment, SignalProfile
@@ -55,12 +53,14 @@ def _list_like(value, default: tuple) -> bool:
 
 def _require_numbers(block: dict, defaults: dict, where: str):
     """Reject a value unlike every default of its field (a list per key) if
-    one is a number or a tuple: an int takes an int, a float any number,
-    None null, a tuple a list of its shape (``_list_like``). Every number
-    must be finite."""
+    one is a number, a bool or a tuple: an int takes an int, a float any
+    number, a bool a bool, None null, a tuple a list of its shape
+    (``_list_like``). Every number must be finite."""
     for key, value in block.items():
         types = {type(d) for d in defaults.get(key, ())}
-        if types & {int, float} and type(value) not in types | {int}:
+        if float in types:
+            types.add(int)
+        if types & {int, float, bool} and type(value) not in types:
             raise ConfigError(f"{where}.{key} must have the type of "
                               f"{' or '.join(map(repr, defaults[key]))}, "
                               f"got {value!r}")
@@ -240,34 +240,23 @@ def _validate_sweep(cfg, block):
                               "an integer of at least 1 and max above min")
 
 
+def _tuples(value):
+    """A JSON list as a tuple, a list of lists as a tuple of tuples."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def scenario_from_config(cfg: dict):
-    """Build the scenario object described by a validated config."""
+    """Build the scenario object described by a validated config: each
+    ``*_profile`` key from its segments, each list as a tuple."""
     if "scenario" not in cfg:
         raise ConfigError("config has no scenario block")
     block = dict(cfg["scenario"])
-    stype = block.pop("type")
+    cls = WrsmScenario if block.pop("type") == "wrsm" else ImScenario
     kind = cfg["machine"]["kind"]
     params = params_from_dict(kind, cfg["machine"].get("params", {}))
-    kwargs = {}
-    if stype == "wrsm":
-        profile_keys = {"speed_profile": "scenario.speed_profile",
-                        "i_f_profile": "scenario.i_f_profile"}
-        tuple_keys = ("ekf_q_diag", "ekf_r_diag", "ekf_p0_diag")
-        cls = WrsmScenario
-    else:
-        profile_keys = {"freq_profile": "scenario.freq_profile",
-                        "load_profile": "scenario.load_profile"}
-        tuple_keys = ("ekf_q_diag_phys", "x0_est_phys")
-        cls = ImScenario
-    for key, val in block.items():
-        if key in profile_keys:
-            kwargs[key] = _segments_from_json(val, profile_keys[key])
-        elif key in tuple_keys or key in ("injection_windows", "dwell"):
-            kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v
-                                for v in val) if key == "injection_windows" \
-                else tuple(val)
-        else:
-            kwargs[key] = val
+    kwargs = {key: _segments_from_json(val, f"scenario.{key}")
+              if key.endswith("_profile") else _tuples(val)
+              for key, val in block.items()}
     try:
         return cls(params=params, **kwargs)
     except (TypeError, ValueError) as exc:

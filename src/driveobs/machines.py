@@ -226,36 +226,6 @@ class SynchronousMachine:
                 f"|det L| below {DET_L_FLOOR:g}; parameters are nonphysical")
         self.rates = sm_current_rates(params, self.has_field, self.psi_r)
 
-    def inductance(self, theta):
-        """Inductance matrix and its position derivative.
-
-        Returns (L, L') — 3x3 with a field winding, else the 2x2 stator
-        block. Accepts an array of angles, returning stacked (..., k, k).
-        """
-        th = np.asarray(theta, float)
-        p = self.params
-        L0, L2 = p.L_0, p.L_2
-        c2, s2 = np.cos(2 * th), np.sin(2 * th)
-        k = self.n_currents
-        shape = th.shape + (k, k)
-        L = np.zeros(shape)
-        Lp = np.zeros(shape)
-        L[..., 0, 0] = L0 + L2 * c2
-        L[..., 0, 1] = L[..., 1, 0] = L2 * s2
-        L[..., 1, 1] = L0 - L2 * c2
-        Lp[..., 0, 0] = -2 * L2 * s2
-        Lp[..., 0, 1] = Lp[..., 1, 0] = 2 * L2 * c2
-        Lp[..., 1, 1] = 2 * L2 * s2
-        if self.has_field:
-            c1, s1 = np.cos(th), np.sin(th)
-            Mf, Lf = p.M_f, p.L_f
-            L[..., 0, 2] = L[..., 2, 0] = Mf * c1
-            L[..., 1, 2] = L[..., 2, 1] = Mf * s1
-            L[..., 2, 2] = Lf
-            Lp[..., 0, 2] = Lp[..., 2, 0] = -Mf * s1
-            Lp[..., 1, 2] = Lp[..., 2, 1] = Mf * c1
-        return L, Lp
-
     def f(self, x, u):
         """State derivative. ``x`` may be a single state (n,) or batched (n, m)."""
         x = np.asarray(x, float)

@@ -193,27 +193,44 @@ def im_steady_determinant(params: ImParams, omega_e: float, T_m: float,
                           (0.0, 0.0, 0.0, omega_s * psi, 0.0, 0.0))
 
 
+def affine_solve(g, target, n: int) -> np.ndarray:
+    """
+    The ``v`` of length ``n`` with ``g(v) == target``, for ``g`` affine in v.
+
+    The matrix of ``g`` comes from ``n + 1`` calls; two Newton steps from 0
+    follow, the second removing the rounding of the first. No step can
+    round onto a zero entry, so an entry below the rounding of the largest
+    is set to zero.
+    """
+    g0 = g(np.zeros(n))
+    G = np.column_stack([g(e) - g0 for e in np.eye(n)])
+    v = np.linalg.solve(G, target - g0)
+    v = v + np.linalg.solve(G, target - g(v))
+    return np.where(np.abs(v) < np.finfo(float).eps * np.max(np.abs(v)),
+                    0.0, v)
+
+
 def im_steady_operating_point(params: ImParams, omega_e: float, T_m: float,
                               psi_rd: float):
     """
     Consistent steady state (x, u, u_dot) for a rotating-flux operating point.
 
     The flux vector has magnitude ``psi_rd`` and rotates at the stator
-    frequency implied by the slip relation; currents, voltages and the
-    resistant torque are chosen so every state derivative except the flux
-    rotation is zero. Useful for pointwise checks and sweeps.
+    frequency implied by the slip relation. The currents, solved from the
+    flux rows of the kernel, and the voltages, solved from its current rows,
+    rotate rigidly at that frequency too; the speed and the resistant torque
+    stay constant. Useful for pointwise checks and sweeps.
     """
     omega_s = omega_e + slip_frequency(params, T_m, psi_rd)
-    a, b = params.a, params.b
-    kr, tr = params.k_r, params.tau_r
-    psi_t = np.array([kr * psi_rd, 0.0])
-    dpsi_t = omega_s * (J2 @ psi_t)
-    gamma_psi = psi_t / tr - omega_e * (J2 @ psi_t)
-    it = -(dpsi_t + gamma_psi) / (a - b)
-    dit = omega_s * (J2 @ it)
-    u = dit - a * it - gamma_psi
+    machine = InductionMachine(params)
+    psi_t = np.array([params.k_r * psi_rd, 0.0])
+    rest = np.array([psi_t[0], psi_t[1], omega_e, T_m])
+    it = affine_solve(
+        lambda i: machine.f(np.concatenate([i, rest]), np.zeros(2))[2:4],
+        omega_s * (J2 @ psi_t), 2)
+    x = np.concatenate([it, rest])
+    u = affine_solve(lambda v: machine.f(x, v)[:2], omega_s * (J2 @ it), 2)
     u_dot = omega_s * (J2 @ u)
-    x = np.array([it[0], it[1], psi_t[0], psi_t[1], omega_e, T_m])
     return x, u, u_dot
 
 
@@ -224,30 +241,20 @@ def sm_operating_point(params, omega: float, i_sd: float, i_sq: float,
     """
     State and input realizing the requested rotor-frame currents and rates.
 
-    Inverts the voltage equation at position ``theta`` so that the machine
-    dynamics reproduce exactly the given total dq current derivatives.
+    Solves the machine's current rates at position ``theta`` for the input,
+    so that the dynamics reproduce exactly the given total dq current
+    derivatives.
     """
     machine = SynchronousMachine(params)
-    i_ab = park([i_sd, i_sq], theta, "to_ab")
-    di_ab = park([di_sd, di_sq], theta, "to_ab") \
-        + omega * (J2 @ np.asarray(i_ab))
+    currents = park([i_sd, i_sq], theta, "to_ab")
+    dI = park([di_sd, di_sq], theta, "to_ab") + omega * (J2 @ currents)
     if machine.has_field:
         if i_f is None:
             raise ValueError("field machines need i_f")
-        currents = np.array([i_ab[0], i_ab[1], i_f])
-        dI = np.array([di_ab[0], di_ab[1], di_f])
-        R = np.array([params.R_s, params.R_s, params.R_f])
-    else:
-        currents = np.asarray(i_ab)
-        dI = np.asarray(di_ab)
-        R = np.array([params.R_s, params.R_s])
-    L, Lp = machine.inductance(theta)
-    u = L @ dI + R * currents + omega * (Lp @ currents)
-    if machine.psi_r != 0.0:
-        u = u + machine.psi_r * omega * np.array(
-            [-math.sin(theta), math.cos(theta)] + ([0.0] if machine.has_field
-                                                   else []))
+        currents, dI = np.append(currents, i_f), np.append(dI, di_f)
     x = np.concatenate([currents, [omega, theta]])
+    k = machine.n_currents
+    u = affine_solve(lambda v: machine.f(x, v)[:k], dI, machine.n_inputs)
     return x, u
 
 

@@ -544,6 +544,8 @@ def test_sweep_rejects_malformed_values(tmp_path, capsys, kind, sweep):
     ("simulate", "scenario", "seed", 1.5),
     ("simulate", "scenario", "seed", "7"),
     ("simulate", "scenario", "seed", -1),
+    ("simulate", "scenario", "run_ekf", "false"),
+    ("simulate", "scenario", "run_ekf", 0),
     ("check", "params", "J", float("nan")),
     ("simulate", "scenario", "noise_std", float("nan")),
     ("simulate", "scenario", "t_end", float("inf")),

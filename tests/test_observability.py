@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from driveobs.lie import machine_observability_matrix
-from driveobs.machines import (InductionMachine, SynchronousMachine,
+from driveobs.machines import (J2, InductionMachine, SynchronousMachine,
                                dq_derivative, make_machine, park)
 from driveobs.observability import (DegenerateFluxError, dcm_determinant,
                                     flux_angular_velocity, im_condition,
@@ -18,8 +18,8 @@ from driveobs.observability import (DegenerateFluxError, dcm_determinant,
                                     sm_operating_point, unobservability_line)
 from driveobs.params import (BrushlessSmParams, HESM_DEFAULT, IM_DEFAULT,
                              IPMSM_DEFAULT, PM_DCM_DEFAULT,
-                             SERIES_DCM_DEFAULT, SPMSM_DEFAULT, SYRM_DEFAULT,
-                             WRSM_DEFAULT)
+                             SERIES_DCM_DEFAULT, SM_KINDS, SPMSM_DEFAULT,
+                             SYRM_DEFAULT, WRSM_DEFAULT)
 
 RNG = np.random.default_rng(77)
 
@@ -311,6 +311,54 @@ def test_im_zero_set_matches_oracle_rank():
     assert res_off.rank == 6
     closed_off = im_determinant(p, "sensorless", x_off, machine.f(x_off, u_off))
     assert abs(closed_off) > 0
+
+
+# ---------------------------------------------------------------------------
+# operating points solved from the rate kernels
+
+
+@pytest.mark.parametrize("kind", SM_KINDS + ("im",))
+def test_operating_points_reproduce_the_requested_rates(kind):
+    rng = np.random.default_rng(16)
+    machine = make_machine(kind)
+    p = machine.params
+    for _ in range(50):
+        if kind == "im":
+            we, Tm = rng.normal(0, 100), rng.normal(0, 20)
+            psi_rd = rng.uniform(0.01, 0.1)
+            x, u, _ = im_steady_operating_point(p, we, Tm, psi_rd)
+            # currents and fluxes rotate at the stator frequency
+            omega_s = we + slip_frequency(p, Tm, psi_rd)
+            want = omega_s * np.concatenate([J2 @ x[:2], J2 @ x[2:4]])
+        else:
+            i_f = rng.normal(0, 5) if p.has_field else None
+            di = rng.normal(0, 100, 3)
+            w, th = rng.normal(0, 300), rng.uniform(-np.pi, np.pi)
+            x, u = sm_operating_point(p, w, *rng.normal(0, 10, 2), i_f, *di,
+                                      theta=th)
+            want = park(di[:2], th, "to_ab") + w * (J2 @ x[:2])
+            if p.has_field:
+                want = np.append(want, di[2])
+        got = machine.f(x, u)[:len(want)]
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", SM_KINDS)
+def test_sm_standstill_determinant_is_exactly_zero(kind):
+    """With no speed and no current rate the input is exactly R i, so the
+    rates, and with them the determinant, vanish exactly at any position;
+    ``check`` takes theta = 0, where a zero dq current gives a zero input."""
+    rng = np.random.default_rng(17)
+    machine = make_machine(kind)
+    p = machine.params
+    for j in range(100):
+        i_f = rng.normal(0, 5) if p.has_field else None
+        i_dq = rng.normal(0, 10, 2) * (rng.uniform(size=2) < 0.6)
+        theta = rng.uniform(-np.pi, np.pi) if j % 2 else 0.0
+        x, u = sm_operating_point(p, 0.0, *i_dq, i_f, theta=theta)
+        rep = observability_report(machine, x, u)
+        assert rep.determinant == 0.0
+        assert not rep.guaranteed and rep.rank < machine.n_states
 
 
 # ---------------------------------------------------------------------------

@@ -52,16 +52,36 @@ def test_wrsm_kernel_matches_model():
         batch = m.f(X, U)
         for j in range(30):
             i, w, th = X[:k, j], X[k, j], X[k + 1, j]
-            L, Lp = m.inductance(th)
-            e = np.zeros(k)
-            e[:2] = m.psi_r * w * np.array([-math.sin(th), math.cos(th)])
-            ref = np.linalg.solve(L, U[:, j] - R * i - w * (Lp @ i) - e)
+            L, Lp, e = sm_reference(m.params, th)
+            ref = np.linalg.solve(L, U[:, j] - R * i - w * (Lp @ i) - w * e)
             tol = 1e-12 * np.max(np.abs(ref))
             assert np.max(np.abs(m.f(X[:, j], U[:, j])[:k] - ref)) < tol
             assert np.max(np.abs(batch[:k, j] - ref)) < tol
             if kind == "wrsm":
                 fast = plant_rates(*X[:, j], *U[:, j])
                 assert np.max(np.abs(np.array(fast) - ref)) < tol
+
+
+def sm_reference(p, theta):
+    """Matrix-form synchronous machine at rotor position ``theta``: the
+    inductance matrix L(theta), its position derivative L'(theta) and the
+    magnet back-EMF per unit speed e(theta), so that L di/dt = u - R i -
+    omega (L' i + e). The 3x3 model with a field winding, else the stator
+    block; an array of angles gives stacked (..., k, k) and (..., k)."""
+    th = np.asarray(theta, float)
+    c1, s1, c2, s2 = np.cos(th), np.sin(th), np.cos(2 * th), np.sin(2 * th)
+    L0, L2, Mf, zero = p.L_0, p.L_2, p.M_f, np.zeros_like(th)
+    L = np.array([[L0 + L2 * c2, L2 * s2, Mf * c1],
+                  [L2 * s2, L0 - L2 * c2, Mf * s1],
+                  [Mf * c1, Mf * s1, p.L_f + zero]])
+    Lp = np.array([[-2 * L2 * s2, 2 * L2 * c2, -Mf * s1],
+                   [2 * L2 * c2, 2 * L2 * s2, Mf * c1],
+                   [-Mf * s1, Mf * c1, zero]])
+    e = p.psi_r * np.array([-s1, c1, zero])
+    k = 3 if p.has_field else 2
+    return (np.moveaxis(L, (0, 1), (-2, -1))[..., :k, :k],
+            np.moveaxis(Lp, (0, 1), (-2, -1))[..., :k, :k],
+            np.moveaxis(e, 0, -1)[..., :k])
 
 
 def im_reference(p, x, u):
