@@ -7,6 +7,7 @@ Exit codes: 0 success / observability guaranteed, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -126,12 +127,15 @@ def _write_plot_script(path, machine_kind: str):
         fh.write("\n".join(lines) + "\n")
 
 
-def _check_point(cfg: dict, threshold: float):
+def _check_point(cfg: dict, threshold):
+    """The machine kind and report at the config's check point; a threshold
+    of None takes the config's, then the default."""
     kind = cfg["machine"]["kind"]
     params = params_from_dict(kind, cfg["machine"].get("params", {}))
     machine = make_machine(kind, params)
     block = cfg.get("check", {})
-    threshold = block.get("threshold", threshold)
+    if threshold is None:
+        threshold = block.get("threshold", OBS_THRESHOLD_DEFAULT)
     u_dot = None
     speed_measured = False
     if kind in SM_KINDS:
@@ -156,7 +160,8 @@ def _check_point(cfg: dict, threshold: float):
 
 
 def cmd_check(args) -> int:
-    if not 0.0 < args.threshold <= sys.float_info.max:   # NaN fails too
+    if args.threshold is not None and \
+            not 0.0 < args.threshold <= sys.float_info.max:   # NaN fails too
         _err(f"--threshold must be finite and above 0, got {args.threshold}")
         return EXIT_CONFIG
     try:
@@ -170,7 +175,7 @@ def cmd_check(args) -> int:
     except ArithmeticError as exc:    # overflow at extreme parameters
         _err(f"numerical failure at this point: {exc}")
         return EXIT_CONFIG
-    out = json_sanitize({"machine": kind, **report.to_dict()})
+    out = json_sanitize({"machine": kind, **dataclasses.asdict(report)})
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK if report.guaranteed else EXIT_NOT_GUARANTEED
 
@@ -240,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser("check", help="evaluate observability at one point")
     p_chk.add_argument("--config", required=True)
-    p_chk.add_argument("--threshold", type=float,
-                       default=OBS_THRESHOLD_DEFAULT)
+    p_chk.add_argument("--threshold", type=float, default=None,
+                       help="rad/s; overrides check.threshold (default "
+                       f"{OBS_THRESHOLD_DEFAULT:g})")
     p_chk.set_defaults(func=cmd_check)
 
     p_swp = sub.add_parser("sweep", help="grid sweep of the determinant")

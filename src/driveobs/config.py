@@ -81,38 +81,36 @@ def _require_finite(block: dict, keys, where: str):
                               f"{block[key]!r}")
 
 
+# the keys of each segment kind with their defaults, in the order of the
+# arguments after t0, t1 of the Segment classmethod of that name
+_SEGMENT_KEYS = {"constant": {"value": 0.0}, "ramp": {"v0": 0.0, "v1": 0.0},
+                 "sine": {"offset": 0.0, "terms": ()}}
+
+
 def _segments_from_json(items, where: str) -> SignalProfile:
     if not isinstance(items, list):
         raise ConfigError(f"{where} must be a list of segments, got {items!r}")
     segs = []
     for i, item in enumerate(items):
-        _require_keys(item, ("kind", "t0", "t1", "value", "v0", "v1",
-                             "offset", "terms"), f"{where}[{i}]",
-                      required=("kind", "t0", "t1"))
-        _require_finite(item, sorted(set(item) - {"kind", "terms"}),
-                        f"{where}[{i}]")
+        at = f"{where}[{i}]"
+        kind = item.get("kind") if isinstance(item, dict) else None
+        if not isinstance(kind, str) or kind not in _SEGMENT_KEYS:
+            raise ConfigError(f"{at} must be an object with a kind of "
+                              f"{sorted(_SEGMENT_KEYS)}, got {item!r}")
+        keys = _SEGMENT_KEYS[kind]
+        _require_keys(item, ("kind", "t0", "t1", *keys), at,
+                      required=("t0", "t1"))
+        _require_finite(item, sorted(set(item) - {"kind", "terms"}), at)
         if not _list_like(item.get("terms", []), ((0.0, 0.0, 0.0),)):
-            raise ConfigError(f"{where}[{i}].terms must be a list of "
+            raise ConfigError(f"{at}.terms must be a list of "
                               "[amplitude, omega, phase] lists of finite "
                               "numbers")
-        kind = item["kind"]
         try:
-            if kind == "constant":
-                segs.append(Segment.constant(item["t0"], item["t1"],
-                                             item.get("value", 0.0)))
-            elif kind == "ramp":
-                segs.append(Segment.ramp(item["t0"], item["t1"],
-                                         item.get("v0", 0.0),
-                                         item.get("v1", 0.0)))
-            elif kind == "sine":
-                segs.append(Segment.sine(item["t0"], item["t1"],
-                                         item.get("offset", 0.0),
-                                         [tuple(trm) for trm in
-                                          item.get("terms", [])]))
-            else:
-                raise ConfigError(f"{where}[{i}]: unknown segment kind {kind!r}")
+            segs.append(getattr(Segment, kind)(
+                item["t0"], item["t1"],
+                *(item.get(key, val) for key, val in keys.items())))
         except ValueError as exc:
-            raise ConfigError(f"{where}[{i}]: {exc}") from exc
+            raise ConfigError(f"{at}: {exc}") from exc
     try:
         return SignalProfile(tuple(segs))
     except ValueError as exc:

@@ -289,20 +289,6 @@ class ObservabilityReport:
     psi_oq: float = math.nan
     guaranteed: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "determinant": self.determinant,
-            "oracle_determinant": self.oracle_determinant,
-            "margin": self.margin,
-            "rank": self.rank,
-            "condition_number": self.condition_number,
-            "singular_values": list(self.singular_values),
-            "oracle_scale": self.oracle_scale,
-            "psi_od": self.psi_od,
-            "psi_oq": self.psi_oq,
-            "guaranteed": self.guaranteed,
-        }
-
 
 def observability_report(machine, x, u, u_dot=None,
                          speed_measured: bool = False,

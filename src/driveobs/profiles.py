@@ -17,83 +17,64 @@ class ProfileDomainError(ValueError):
 @dataclass(frozen=True)
 class Segment:
     """
-    One piece of a signal profile on [t0, t1).
-
-    Kinds: "constant" (``value``), "ramp" (linear ``v0`` at t0 to ``v1`` at
-    t1), "sine" (``offset`` plus sinusoid terms ``(amplitude, omega, phase)``
-    evaluated at absolute time).
+    One piece of a signal profile on [t0, t1): the line from ``v0`` at t0 to
+    ``v1`` at t1 plus the sinusoid ``terms`` ``(amplitude, omega, phase)``,
+    evaluated at absolute time. ``t`` is a float or an array.
     """
 
     t0: float
     t1: float
-    kind: str
-    value: float = 0.0
     v0: float = 0.0
     v1: float = 0.0
-    offset: float = 0.0
     terms: Tuple[Tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
         if self.t1 <= self.t0:
             raise ValueError("segment needs t1 > t0")
-        if self.kind not in ("constant", "ramp", "sine"):
-            raise ValueError(f"unknown segment kind {self.kind!r}")
         object.__setattr__(self, "terms",
                            tuple(tuple(map(float, trm)) for trm in self.terms))
 
     @classmethod
     def constant(cls, t0, t1, value):
-        return cls(t0=t0, t1=t1, kind="constant", value=value)
+        return cls(t0, t1, value, value)
 
     @classmethod
     def ramp(cls, t0, t1, v0, v1):
-        return cls(t0=t0, t1=t1, kind="ramp", v0=v0, v1=v1)
+        return cls(t0, t1, v0, v1)
 
     @classmethod
     def sine(cls, t0, t1, offset, terms):
-        return cls(t0=t0, t1=t1, kind="sine", offset=offset,
-                   terms=tuple(terms))
+        return cls(t0, t1, offset, offset, terms)
 
-    # ``t`` is a float (math's sine and cosine) or an array (numpy's, which
-    # gave the same bits on the hosts measured)
+    # the line keeps the order v0 + (v1 - v0) * frac, so a hold (v1 == v0)
+    # returns v0, integrates to v0 * dt and has rate 0 bit for bit
+    def _line(self, t):
+        frac = (t - self.t0) / (self.t1 - self.t0)
+        return self.v0 + (self.v1 - self.v0) * frac
+
     def value_at(self, t):
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "ramp":
-            frac = (t - self.t0) / (self.t1 - self.t0)
-            return self.v0 + (self.v1 - self.v0) * frac
-        sin = np.sin if isinstance(t, np.ndarray) else math.sin
-        out = self.offset
+        out = self._line(t)
         for amp, omega, phase in self.terms:
-            out += amp * sin(omega * t + phase)
+            out += amp * np.sin(omega * t + phase)
         return out
 
     def integral_to(self, t):
         """Integral of the segment value from t0 to t (t within the segment)."""
         dt = t - self.t0
-        if self.kind == "constant":
-            return self.value * dt
-        if self.kind == "ramp":
-            vt = self.value_at(t)
-            return 0.5 * (self.v0 + vt) * dt
-        cos = np.cos if isinstance(t, np.ndarray) else math.cos
-        out = self.offset * dt
+        out = 0.5 * (self.v0 + self._line(t)) * dt
         for amp, omega, phase in self.terms:
             if omega == 0.0:
-                out += amp * math.sin(phase) * dt
+                out += amp * np.sin(phase) * dt
             else:
-                out += (amp / omega) * (math.cos(omega * self.t0 + phase)
-                                        - cos(omega * t + phase))
+                out += (amp / omega) * (np.cos(omega * self.t0 + phase)
+                                        - np.cos(omega * t + phase))
         return out
 
     def derivative_at(self, t):
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "ramp":
-            return (self.v1 - self.v0) / (self.t1 - self.t0)
-        cos = np.cos if isinstance(t, np.ndarray) else math.cos
-        return sum(amp * omega * cos(omega * t + phase)
-                   for amp, omega, phase in self.terms)
+        out = (self.v1 - self.v0) / (self.t1 - self.t0)
+        for amp, omega, phase in self.terms:
+            out += amp * omega * np.cos(omega * t + phase)
+        return out
 
 
 @dataclass(frozen=True)
@@ -111,9 +92,10 @@ class SignalProfile:
                 raise ValueError("segments must be contiguous")
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_starts", tuple(s.t0 for s in segs))
-        # cumulative integral at each segment start
+        # cumulative integral at each segment start; the last segment's end
+        # is never looked up and may be infinite
         cum = [0.0]
-        for s in segs:
+        for s in segs[:-1]:
             cum.append(cum[-1] + s.integral_to(s.t1))
         object.__setattr__(self, "_cum", tuple(cum))
 

@@ -117,20 +117,18 @@ def default_wrsm_speed_profile() -> SignalProfile:
     ))
 
 
-def default_field_setpoint_profile(i_f0: float = 4.0,
-                                   i_f_hf: float = 0.5,
-                                   omega_hf: float = TWO_PI * 1e3,
-                                   windows=((1.0, 1.5), (4.5, 5.0))
+def default_field_setpoint_profile(windows=((1.0, 1.5), (4.5, 5.0))
                                    ) -> SignalProfile:
-    """Constant field setpoint with HF sinusoid added inside the windows."""
+    """4 A field setpoint with a 0.5 A, 1 kHz sinusoid added inside the
+    windows."""
     segs = []
     t = 0.0
     for (w0, w1) in windows:
         if w0 > t:
-            segs.append(Segment.constant(t, w0, i_f0))
-        segs.append(Segment.sine(w0, w1, i_f0, ((i_f_hf, omega_hf, 0.0),)))
+            segs.append(Segment.constant(t, w0, 4.0))
+        segs.append(Segment.sine(w0, w1, 4.0, ((0.5, TWO_PI * 1e3, 0.0),)))
         t = w1
-    segs.append(Segment.constant(t, math.inf, i_f0))
+    segs.append(Segment.constant(t, math.inf, 4.0))
     return SignalProfile(tuple(segs))
 
 

@@ -637,6 +637,7 @@ def test_check_at_equal_inductances_matches_oracle(tmp_path, capsys, kind,
 
 
 SEGMENT = {"kind": "constant", "t0": 0.0, "t1": 0.3, "value": 0.0}
+SINE = {"kind": "sine", "t0": 0.0, "t1": 0.3, "offset": 4.0}
 
 
 @pytest.mark.parametrize("scenario, key, value", [
@@ -648,9 +649,8 @@ SEGMENT = {"kind": "constant", "t0": 0.0, "t1": 0.3, "value": 0.0}
     ("wrsm", "speed_profile", [{**SEGMENT, "t1": "0.3"}]),
     ("wrsm", "speed_profile", [{**SEGMENT, "value": "x"}]),
     ("wrsm", "speed_profile", [{**SEGMENT, "value": float("nan")}]),
-    ("wrsm", "i_f_profile", [{**SEGMENT, "kind": "sine", "offset": 4.0,
-                              "terms": [[0.5, "x", 0.0]]}]),
-    ("wrsm", "i_f_profile", [{**SEGMENT, "kind": "sine", "terms": 0.5}]),
+    ("wrsm", "i_f_profile", [{**SINE, "terms": [[0.5, "x", 0.0]]}]),
+    ("wrsm", "i_f_profile", [{**SINE, "terms": 0.5}]),
     ("wrsm", "injection_windows", None),
     ("wrsm", "injection_windows", [[0.1]]),
     ("wrsm", "injection_windows", [0.1, 0.2]),
@@ -660,6 +660,12 @@ SEGMENT = {"kind": "constant", "t0": 0.0, "t1": 0.3, "value": 0.0}
     ("im", "load_profile", {"kind": "constant"}),
     ("im", "x0_est_phys", [float("nan")] + [0.0] * 5),
     ("im", "t_end", float("inf")),
+    # a key of another kind, which would otherwise be ignored
+    ("wrsm", "speed_profile", [{"kind": "ramp", "t0": 0.0, "t1": 0.3,
+                                "value": 100.0}]),
+    ("wrsm", "speed_profile", [{**SEGMENT, "v0": 100.0}]),
+    ("wrsm", "i_f_profile", [{**SEGMENT, "terms": [[0.5, 1e3, 0.0]]}]),
+    ("wrsm", "speed_profile", [{**SEGMENT, "kind": ["constant"]}]),
 ])
 def test_malformed_lists_and_segments_exit_2(tmp_path, capsys, monkeypatch,
                                              scenario, key, value):
@@ -694,6 +700,18 @@ def test_check_threshold_must_be_finite_and_above_0(tmp_path, capsys, omega,
         argv += ["--threshold", threshold]
     assert main(argv + ["--config", write_cfg(tmp_path, cfg)]) == 2
     assert "threshold" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("option, code", [([], 0), (["--threshold", "5"], 4)])
+def test_check_threshold_option_wins_over_the_config(tmp_path, capsys, option,
+                                                     code):
+    # a 3 rad/s margin: guaranteed at the config's 2, not at the option's 5
+    cfg = sm_check_cfg(3.0)
+    cfg["check"]["threshold"] = 2.0
+    argv = ["check", "--config", write_cfg(tmp_path, cfg)] + option
+    assert main(argv) == code
+    out = json.loads(capsys.readouterr().out)
+    assert out["margin"] == 3.0 and out["guaranteed"] == (code == 0)
 
 
 @pytest.mark.parametrize("kind, value", [

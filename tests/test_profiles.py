@@ -1,12 +1,17 @@
 """Signal profiles and the PI controller."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from driveobs.profiles import (PiController, ProfileDomainError, Segment,
                                SignalProfile)
+from driveobs.scenarios import (default_field_setpoint_profile,
+                                default_im_frequency_profile,
+                                default_im_load_profile,
+                                default_wrsm_speed_profile)
 
 HF = 2 * math.pi * 1e3
 RNG_T = np.random.default_rng(5)
@@ -100,6 +105,88 @@ def test_sample_equals_scalar_methods_bit_for_bit():
     for got, scalar in zip(prof.sample(t), (prof.value, prof.integral,
                                             prof.derivative)):
         assert np.array_equal(got, [scalar(x) for x in t.tolist()])
+
+
+def reference_segment(seg, t):
+    """``(value, integral from t0, rate)`` at a float ``t`` by the separate
+    formulas of a constant, a ramp and a sine segment, with math's trig."""
+    dt = t - seg.t0
+    if not seg.terms and seg.v0 == seg.v1:
+        return seg.v0, seg.v0 * dt, 0.0
+    if not seg.terms:
+        v = seg.v0 + (seg.v1 - seg.v0) * ((t - seg.t0) / (seg.t1 - seg.t0))
+        return (v, 0.5 * (seg.v0 + v) * dt,
+                (seg.v1 - seg.v0) / (seg.t1 - seg.t0))
+    value, integral, rate = seg.v0, seg.v0 * dt, 0
+    for amp, omega, phase in seg.terms:
+        value += amp * math.sin(omega * t + phase)
+        integral += amp * math.sin(phase) * dt if omega == 0.0 else \
+            (amp / omega) * (math.cos(omega * seg.t0 + phase)
+                             - math.cos(omega * t + phase))
+        rate += amp * omega * math.cos(omega * t + phase)
+    return value, integral, rate
+
+
+def reference_profile(prof, t):
+    cum = 0.0
+    for seg, nxt in zip(prof.segments, prof.segments[1:] + (None,)):
+        if nxt is None or t < nxt.t0:
+            value, integral, rate = reference_segment(seg, t)
+            return value, cum + integral, rate
+        cum += reference_segment(seg, seg.t1)[1]
+
+
+def random_profile(rng):
+    t, segs = 0.0, []
+    for _ in range(int(rng.integers(1, 7))):
+        t1 = t + float(rng.uniform(0.01, 2.0))
+        kind = rng.integers(3)
+        if kind == 0:
+            segs.append(Segment.constant(t, t1, float(rng.normal(0.0, 50.0))))
+        elif kind == 1:
+            segs.append(Segment.ramp(t, t1, *rng.normal(0.0, 50.0, 2).tolist()))
+        else:
+            terms = [(float(rng.normal()),
+                      float(rng.choice([0.0, rng.uniform(1.0, 1e4)])),
+                      float(rng.uniform(-3.0, 3.0)))
+                     for _ in range(int(rng.integers(1, 4)))]
+            segs.append(Segment.sine(t, t1, float(rng.normal(0.0, 10.0)),
+                                     terms))
+        t = t1
+    return SignalProfile(tuple(segs))
+
+
+def test_segments_equal_the_per_kind_formulas_bit_for_bit():
+    # the default profiles (holds to infinity) and seeded random ones, at
+    # the joins and at random times, scalar and sampled
+    rng = np.random.default_rng(17)
+    profiles = [default_wrsm_speed_profile(), default_field_setpoint_profile(),
+                default_im_frequency_profile(), default_im_load_profile()]
+    profiles += [random_profile(rng) for _ in range(60)]
+    for prof in profiles:
+        end = min(prof.end, prof.segments[-1].t0 + 2.0)
+        t = np.concatenate([[s.t0 for s in prof.segments],
+                            rng.uniform(prof.start, end, 200)])
+        ref = np.array([reference_profile(prof, x) for x in t.tolist()], float)
+        scalar = np.array([(prof.value(x), prof.integral(x),
+                            prof.derivative(x)) for x in t.tolist()], float)
+        sampled = np.column_stack(prof.sample(t))
+        assert np.array_equal(scalar.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(sampled.view(np.uint64), ref.view(np.uint64))
+
+
+def test_profile_ending_in_a_sine_to_infinity_builds_and_samples():
+    # the integral is accumulated at the segment starts only: the end of
+    # the last segment is never looked up
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = SignalProfile((Segment.constant(0.0, 1.0, 4.0),
+                              Segment.sine(1.0, math.inf, 4.0,
+                                           ((0.5, HF, 0.0),))))
+        t = np.linspace(0.0, 3.0, 3001)
+        sampled = prof.sample(t)
+    assert all(np.isfinite(col).all() for col in sampled)
+    assert prof.integral(1.0) == 4.0
 
 
 @pytest.mark.parametrize("t", [[-0.5, 1.0], [1.0, 2.5 + 1e-9],
