@@ -57,9 +57,16 @@ def dq_derivative(d_ab, i_dq, omega: float, theta: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# rate kernels: plain arithmetic, so the arguments may be Python floats or
-# numpy rows (one column per state); each ``f`` passes its inputs ``u`` on as
-# given, so float inputs stay Python floats
+# rate kernels: plain arithmetic, with the same bits on floats or numpy rows
+
+
+def kernel_args(x, u):
+    """``x``, ``u`` and the zero rate for a kernel: Python floats for one
+    state (n,), 3-6x as fast as numpy scalars; numpy rows for a batch."""
+    x = np.asarray(x, float)
+    if x.ndim == 1:
+        return x.tolist(), np.asarray(u, float).tolist(), 0.0
+    return x, u, np.zeros(x.shape[1:])
 
 
 def sm_current_rates(params, has_field: bool, psi_r: float):
@@ -227,12 +234,15 @@ class SynchronousMachine:
         self.rates = sm_current_rates(params, self.has_field, self.psi_r)
 
     def f(self, x, u):
-        """State derivative. ``x`` may be a single state (n,) or batched (n, m)."""
-        x = np.asarray(x, float)
+        """Rates of one state (n,) on Python floats, or of a batch (n, m) on
+        numpy rows, with the same bits; see ``kernel_args``."""
+        x, u, zero = kernel_args(x, u)
         k = self.n_currents
         w, th = x[k], x[k + 1]
-        dI = self.rates(*x[:k], w, np.cos(th), np.sin(th), *u)
-        return np.array(dI + (np.zeros_like(w), w))
+        c, s = np.cos(th), np.sin(th)
+        if isinstance(th, float):
+            c, s = float(c), float(s)
+        return np.array(self.rates(*x[:k], w, c, s, *u) + (zero, w))
 
     def output_indices(self, speed_measured: bool = False):
         """The currents; a speed sensor is modeled for the IM only."""
@@ -262,10 +272,10 @@ class InductionMachine:
         self.rates = im_rates(params)
 
     def f(self, x, u):
-        """State derivative. ``x`` may be a single state (n,) or batched (n, m)."""
-        x = np.asarray(x, float)
-        dx = self.rates(*x, *u)
-        return np.array(dx + (np.zeros_like(x[5]),))
+        """Rates of one state (n,) on Python floats, or of a batch (n, m) on
+        numpy rows, with the same bits; see ``kernel_args``."""
+        x, u, zero = kernel_args(x, u)
+        return np.array(self.rates(*x, *u) + (zero,))
 
     @property
     def scale_vector(self) -> np.ndarray:
@@ -297,10 +307,10 @@ class DcMachine:
         self.rates = dcm_rates(params)
 
     def f(self, x, u):
-        """State derivative. ``x`` may be a single state (n,) or batched (n, m)."""
-        x = np.asarray(x, float)
-        dx = self.rates(*x, *u)
-        return np.array(dx + (np.zeros_like(x[2]),))
+        """Rates of one state (n,) on Python floats, or of a batch (n, m) on
+        numpy rows, with the same bits; see ``kernel_args``."""
+        x, u, zero = kernel_args(x, u)
+        return np.array(self.rates(*x, *u) + (zero,))
 
     def output_indices(self, speed_measured: bool = False):
         """The armature current; a speed sensor is modeled for the IM only."""

@@ -586,6 +586,9 @@ def test_wrongly_typed_values_exit_2(tmp_path, capsys, monkeypatch, command,
     # im_condition squares tau_r * omega_e
     ("simulate", "im", {"params": {"R_r": 1.5e-303},
                         "scenario": {"t_end": 2e-3}}, None, 3),
+    # L_0 - L_2 rounds to 0, so det L(0) is 0 in the float kernel
+    ("check", "syrm", {"params": {"L_d": 1.0, "L_q": 1e-17}},
+     "numerical failure at this point: float division by zero", 2),
 ])
 def test_extreme_values_exit_without_traceback(tmp_path, capsys, command,
                                                kind, where, value, code):
@@ -602,6 +605,32 @@ def test_extreme_values_exit_without_traceback(tmp_path, capsys, command,
     message = assert_one_line_error(capsys)
     if value is not None:
         assert value in message
+
+
+@pytest.mark.parametrize("kind, point, code, message", [
+    ("wrsm", {"omega": 1e200, "i_d": 1.0, "i_f": 2.0}, 2, "Singular matrix"),
+    ("hesm", {"omega": 1e200, "i_f": -1e200}, 2, "SVD did not converge"),
+    ("im", {"omega_e": -1e200}, 2, "Singular matrix"),
+    ("series_dcm", {"i_a": -1e200}, 2, "SVD did not converge"),
+    ("pm_dcm", {"i_a": 1e200}, 0, None),
+    ("ipmsm", {"omega": math.nan}, 2, "check.omega must be a finite number, "
+     "got nan"),
+])
+def test_check_at_overflow_range_states(tmp_path, kind, point, code, message):
+    """The rates of one state run on Python floats, which overflow to inf
+    without numpy's RuntimeWarning; ``check`` keeps the exit code and the
+    message that the numpy scalars gave. A fresh interpreter keeps the
+    command's own warning filters."""
+    cfg = {"schema": CONFIG_SCHEMA, "machine": {"kind": kind}, "check": point}
+    proc = subprocess.run([sys.executable, "-m", "driveobs.cli", "check",
+                           "--config", write_cfg(tmp_path, cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    if message is None:
+        assert json.loads(proc.stdout)["guaranteed"]
+    else:
+        assert proc.stderr.splitlines()[-1] == f"driveobs: {message}"
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("kind, key, value", [

@@ -11,8 +11,8 @@ from driveobs.machines import (InductionMachine, SingularInductanceError,
                                im_rates_unscaled, make_machine, park,
                                wrap_angle)
 from driveobs.params import (BrushlessSmParams, WrsmParams, HESM_DEFAULT,
-                             IM_DEFAULT, IPMSM_DEFAULT, PM_DCM_DEFAULT,
-                             SERIES_DCM_DEFAULT, WRSM_DEFAULT)
+                             IM_DEFAULT, IPMSM_DEFAULT, MACHINE_KINDS,
+                             PM_DCM_DEFAULT, SERIES_DCM_DEFAULT, WRSM_DEFAULT)
 from test_scenarios import sm_reference
 
 RNG = np.random.default_rng(2024)
@@ -243,16 +243,81 @@ def test_pm_dcm_jacobian_constant():
     assert np.allclose(A1, A2, atol=1e-9)
 
 
+def probe_states(m):
+    """Columns of states for ``m``: seven random ones, then theta at 0, pi
+    and -pi (a synchronous machine's angle; elsewhere the last state), zero
+    currents and a negative speed."""
+    n = m.n_states
+    speed = {"im": 4, "pm_dcm": 1, "series_dcm": 1}.get(m.kind, n - 2)
+    xs = RNG.normal(0, 10, (n, 10))
+    xs[-1, 7:] = 0.0, np.pi, -np.pi
+    xs[list(m.output_indices()), 8] = 0.0
+    xs[speed, 9] = -abs(xs[speed, 9])
+    return xs
+
+
 def test_batched_f_matches_single():
-    for kind in ("wrsm", "ipmsm", "im", "pm_dcm", "series_dcm"):
+    for kind in MACHINE_KINDS:
         m = make_machine(kind)
-        n = m.n_states if hasattr(m, "n_states") else 5
-        n_u = m.n_inputs
-        xs = RNG.normal(0, 1, (n, 7))
-        u = RNG.normal(0, 1, n_u)
-        batch = m.f(xs, u)
-        for j in range(7):
-            assert np.allclose(batch[:, j], m.f(xs[:, j], u), rtol=1e-12)
+        xs = probe_states(m)
+        u = RNG.normal(0, 10, m.n_inputs)
+        for inputs in (u.tolist(), tuple(u.tolist()), u):
+            batch = m.f(xs, inputs)
+            for j in range(xs.shape[1]):
+                single = m.f(xs[:, j], inputs)
+                assert single.dtype == np.float64
+                assert single.shape == (m.n_states,)
+                assert np.array_equal(single, batch[:, j])
+
+
+@pytest.mark.parametrize("kind", MACHINE_KINDS)
+def test_single_state_kernel_runs_on_floats(kind, monkeypatch):
+    """One state reaches the rate kernel as Python floats, a batch as numpy
+    rows: the kernel's arithmetic on numpy scalars costs about four times as
+    much."""
+    m = make_machine(kind)
+    calls = []
+    kernel = m.rates
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(m, "rates", spy)
+    xs = probe_states(m)
+    us = RNG.normal(0, 10, (m.n_inputs, xs.shape[1]))
+    m.f(xs[:, 0], us[:, 0])
+    assert all(type(a) is float for a in calls[-1])
+    m.f(xs, us)
+    assert all(isinstance(a, np.ndarray) and a.shape == (xs.shape[1],)
+               for a in calls[-1])
+
+
+def test_single_state_nonfinite_matches_batch():
+    """inf, nan and 1e200 entries give one state the bits of its batch
+    column, NaN signs included, and raise nothing: Python floats overflow to
+    inf like numpy, and the kernels divide only by nonzero constants and
+    det L."""
+    for kind in MACHINE_KINDS:
+        m = make_machine(kind)
+        n = m.n_states
+        base = probe_states(m)[:, 0]
+        cols = []
+        for v in (np.inf, -np.inf, np.nan, 1e200, -1e200):
+            cols.append(np.full(n, v))
+            for i in range(n):
+                cols.append(base.copy())
+                cols[-1][i] = v
+        xs = np.column_stack(cols)
+        for u in (RNG.normal(0, 10, m.n_inputs), np.full(m.n_inputs, 1e200),
+                  np.full(m.n_inputs, np.nan)):
+            with np.errstate(all="ignore"):
+                batch = m.f(xs, u)
+                singles = [m.f(xs[:, j], u) for j in range(xs.shape[1])]
+            for j, single in enumerate(singles):
+                assert np.array_equal(single, batch[:, j], equal_nan=True)
+                assert np.array_equal(np.signbit(single),
+                                      np.signbit(batch[:, j]))
 
 
 def test_dq_derivative_consistency():
