@@ -21,6 +21,9 @@ INNER_STEP = 1e-5
 ROW_STEP = 1e-6
 ROW_STEP_HIGH = 2e-3
 
+# offsets of the central-difference stencils, in steps, by order
+STENCIL_OFFSETS = {2: (1.0, -1.0), 4: (1.0, -1.0, 2.0, -2.0)}
+
 
 class DimensionMismatchError(ValueError):
     """Row selection does not produce a square matrix."""
@@ -32,25 +35,28 @@ def fd_jacobian(fun, z, rel_step=1e-6, order=2):
 
     Per-component step ``rel_step * max(1, |z_i|)``. ``order=4`` selects the
     five-point fourth-order central stencil. ``fun`` is never evaluated at
-    ``z`` itself.
+    ``z`` itself, and each call gets a fresh array that it may keep. The
+    Jacobian is C-ordered, as ``np.column_stack`` of its columns would be.
     """
+    if order not in STENCIL_OFFSETS:
+        raise ValueError("order must be 2 or 4")
+    offsets = STENCIL_OFFSETS[order]
     z = np.asarray(z, float)
-    columns = []
-    for i in range(z.size):
-        h = rel_step * max(1.0, abs(z[i]))
-
-        def ev(d, i=i):
+    steps, evals = [], []
+    for i, zi in enumerate(z.tolist()):
+        h = rel_step * max(1.0, abs(zi))
+        steps.append(h)
+        for k in offsets:
             zz = z.copy()
-            zz[i] += d
-            return np.asarray(fun(zz), float)
-
-        if order == 2:
-            columns.append((ev(h) - ev(-h)) / (2.0 * h))
-        elif order == 4:
-            columns.append((8.0 * (ev(h) - ev(-h)) - (ev(2 * h) - ev(-2 * h))) / (12.0 * h))
-        else:
-            raise ValueError("order must be 2 or 4")
-    return np.column_stack(columns)
+            zz[i] = zi + k * h
+            evals.append(fun(zz))
+    e = np.array(evals, float).reshape(z.size, len(offsets), -1)
+    h = np.array(steps)[:, None]
+    if order == 2:
+        columns = (e[:, 0] - e[:, 1]) / (2.0 * h)
+    else:
+        columns = (8.0 * (e[:, 0] - e[:, 1]) - (e[:, 2] - e[:, 3])) / (12.0 * h)
+    return columns.T.copy()
 
 
 @dataclass(frozen=True)
@@ -64,36 +70,38 @@ class ObsMatrixResult:
     singular_values: np.ndarray
 
 
-def lie_output_derivative(f, outputs, x, u, u_dot=None,
-                          order: int = 1) -> np.ndarray:
+def output_derivative(f, outputs, u, u_dot=None, order: int = 1):
     """
-    ``order``-th total time derivative of the output ``x[outputs]``.
+    The map ``z -> d^order/dt^order z[outputs]`` at input ``u``.
 
-    Orders 0 and 1 are exact: ``x[outputs]`` and ``f(x, u)[outputs]``. Each
+    Orders 0 and 1 are exact: ``z[outputs]`` and ``f(z, u)[outputs]``. Each
     further order differentiates the one below along ``f`` and adds
     ``(d(prev)/du)·u_dot``; higher input rates are not modeled, which limits
-    nonzero ``u_dot`` to order <= 2.
+    nonzero ``u_dot`` to order <= 2. ``outputs``, ``u`` and ``u_dot`` are
+    converted here, once, not on every call of the map.
     """
-    x, u = np.asarray(x, float), np.asarray(u, float)
-    idx = list(outputs)
-    has_udot = u_dot is not None and np.any(np.asarray(u_dot))
-    if has_udot and order > 2:
+    idx, u = list(outputs), np.asarray(u, float)
+    if order == 0:
+        return lambda z: z[idx]
+    if order == 1:
+        return lambda z: f(z, u)[idx]
+    lower = output_derivative(f, idx, u, order=order - 1)
+    if u_dot is None or not np.any(u_dot):
+        return lambda z: fd_jacobian(lower, z, INNER_STEP) @ f(z, u)
+    if order > 2:
         raise NotImplementedError(
             "orders above 2 would require higher input derivatives")
-    if order == 0:
-        return x[idx]
-    fx = np.asarray(f(x, u), float)
-    if order == 1:
-        return fx[idx]
+    u_dot = np.asarray(u_dot, float)
+    return lambda z: (fd_jacobian(lower, z, INNER_STEP) @ f(z, u)
+                      + fd_jacobian(lambda w: f(z, w)[idx], u, INNER_STEP)
+                      @ u_dot)
 
-    def lower(z, w):
-        return lie_output_derivative(f, idx, z, w, order=order - 1)
 
-    val = fd_jacobian(lambda z: lower(z, u), x, rel_step=INNER_STEP) @ fx
-    if has_udot:
-        val = val + fd_jacobian(lambda w: lower(x, w), u,
-                                rel_step=INNER_STEP) @ np.asarray(u_dot, float)
-    return val
+def lie_output_derivative(f, outputs, x, u, u_dot=None,
+                          order: int = 1) -> np.ndarray:
+    """``order``-th total time derivative of the output ``x[outputs]``; see
+    ``output_derivative``."""
+    return output_derivative(f, outputs, u, u_dot, order)(np.asarray(x, float))
 
 
 def numeric_observability_matrix(f, outputs, x, u, u_dot=None,
@@ -124,9 +132,7 @@ def numeric_observability_matrix(f, outputs, x, u, u_dot=None,
         raise ValueError("row_spec must select at least one row")
     blocks = {0: np.eye(x.size)[list(outputs)]}
     for order in sorted({o for _, o in row_spec} - {0}):
-        def g(z, order=order):
-            return lie_output_derivative(f, outputs, z, u, u_dot, order)
-
+        g = output_derivative(f, outputs, u, u_dot, order)
         step, stencil = (ROW_STEP, 2) if order == 1 else (ROW_STEP_HIGH, 4)
         blocks[order] = fd_jacobian(g, x, rel_step=step, order=stencil)
     M = np.vstack([blocks[o][i] for i, o in row_spec])

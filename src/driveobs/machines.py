@@ -224,10 +224,12 @@ class SynchronousMachine:
         self.n_currents = 3 if self.has_field else 2
         self.n_states = self.n_currents + 2
         self.n_inputs = self.n_currents
-        # det L(theta) does not depend on theta
+        # det L(0) as the rate kernel forms it at c = 1, s = 0, where l12,
+        # l23 and a12 vanish; L_0 - L_2 may round to 0 where L_q does not
         p = params
-        det = p.L_q * (p.L_d * p.L_f - p.M_f**2) if self.has_field \
-            else p.L_d * p.L_q
+        l11, l22 = p.L_0 + p.L_2, p.L_0 - p.L_2
+        det = l11 * (l22 * p.L_f) - p.M_f * (p.M_f * l22) if self.has_field \
+            else l11 * l22
         if abs(det) < DET_L_FLOOR:
             raise SingularInductanceError(
                 f"|det L| below {DET_L_FLOOR:g}; parameters are nonphysical")

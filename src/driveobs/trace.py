@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 CSV_ROWS = 512    # rows formatted at once; each value costs about 60 bytes
 
@@ -79,41 +80,18 @@ def write_rows(fh, table: np.ndarray):
 
 def violated_intervals(t: np.ndarray, violated: np.ndarray) -> List[Tuple[float, float]]:
     """Contiguous intervals where the observability-violated flag is set."""
-    v = np.asarray(violated, bool)
-    if not v.any():
-        return []
-    edges = np.flatnonzero(np.diff(v.astype(np.int8)))
-    bounds = []
-    begin = 0 if v[0] else None
-    for e in edges:
-        if v[e + 1] and begin is None:
-            begin = e + 1
-        elif not v[e + 1] and begin is not None:
-            bounds.append((float(t[begin]), float(t[e])))
-            begin = None
-    if begin is not None:
-        bounds.append((float(t[begin]), float(t[-1])))
-    return bounds
+    flag = np.asarray(violated, bool).astype(np.int8)
+    edges = np.diff(np.concatenate(([0], flag, [0])))
+    return [(float(t[b]), float(t[e - 1])) for b, e in
+            zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))]
 
 
 def rolling_abs_max(x: np.ndarray, width: int) -> np.ndarray:
-    """Backward-looking maximum of |x| over ``width`` samples (causal)."""
+    """Backward-looking maximum of |x| over ``width`` >= 1 samples (causal;
+    the window is shorter at the start)."""
     ax = np.abs(np.asarray(x, float))
-    if width <= 1:
-        return ax
-    n = ax.size
-    out = np.empty(n)
-    # block-prefix trick: O(n) two-pass sweep
-    left = np.empty(n)
-    right = np.empty(n)
-    for start in range(0, n, width):
-        end = min(start + width, n)
-        left[start:end] = np.maximum.accumulate(ax[start:end])
-        right[start:end] = np.maximum.accumulate(ax[start:end][::-1])[::-1]
-    out[:width] = left[:width]
-    idx = np.arange(width, n)
-    out[width:] = np.maximum(right[idx - width + 1], left[idx])
-    return out
+    padded = np.concatenate([np.zeros(width - 1), ax])
+    return sliding_window_view(padded, width).max(axis=1)
 
 
 def error_stats(err: np.ndarray, mask: np.ndarray) -> dict:

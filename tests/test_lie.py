@@ -8,6 +8,8 @@ from driveobs.lie import (DimensionMismatchError, fd_jacobian,
                           machine_observability_matrix,
                           numeric_observability_matrix)
 from driveobs.machines import make_machine
+from driveobs.observability import (im_steady_operating_point, slip_frequency,
+                                    sm_operating_point)
 from driveobs.params import IM_DEFAULT, PM_DCM_DEFAULT, WRSM_DEFAULT
 
 RNG = np.random.default_rng(5)
@@ -217,3 +219,129 @@ def test_fd_jacobian_never_evaluates_the_centre(order):
 
     assert np.allclose(fd_jacobian(fun, z0, order=order), A, rtol=1e-8,
                        atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the oracle against an independent reference: the nested recursion, which
+# re-enters the output derivative for every perturbed state and input, with
+# its own copy of the steps and stencils
+
+
+REF_INNER_STEP, REF_ROW_STEP, REF_ROW_STEP_HIGH = 1e-5, 1e-6, 2e-3
+
+
+def reference_fd_jacobian(fun, z, rel_step, order):
+    """Column by column, each from its own perturbed copies of ``z``."""
+    z = np.asarray(z, float)
+    columns = []
+    for i in range(z.size):
+        h = rel_step * max(1.0, abs(z[i]))
+
+        def ev(d, i=i):
+            zz = z.copy()
+            zz[i] += d
+            return np.asarray(fun(zz), float)
+
+        if order == 2:
+            columns.append((ev(h) - ev(-h)) / (2.0 * h))
+        else:
+            columns.append((8.0 * (ev(h) - ev(-h)) - (ev(2 * h) - ev(-2 * h)))
+                           / (12.0 * h))
+    return np.column_stack(columns)
+
+
+def reference_derivative(f, idx, x, u, u_dot, order):
+    x, u = np.asarray(x, float), np.asarray(u, float)
+    fx = np.asarray(f(x, u), float)
+    if order == 1:
+        return fx[idx]
+
+    def lower(z, w):
+        return reference_derivative(f, idx, z, w, None, order - 1)
+
+    val = reference_fd_jacobian(lambda z: lower(z, u), x, REF_INNER_STEP,
+                                2) @ fx
+    if u_dot is not None and np.any(u_dot):
+        val = val + reference_fd_jacobian(lambda w: lower(x, w), u,
+                                          REF_INNER_STEP, 2) \
+            @ np.asarray(u_dot, float)
+    return val
+
+
+def reference_lie_matrix(machine, x, u, u_dot, speed_measured):
+    """Matrix, determinant and equilibrated singular values."""
+    idx = list(machine.output_indices(speed_measured))
+    row_spec = machine.lie_rows(speed_measured)
+    blocks = {0: np.eye(len(x))[idx]}
+    for order in sorted({o for _, o in row_spec} - {0}):
+        step, stencil = ((REF_ROW_STEP, 2) if order == 1
+                         else (REF_ROW_STEP_HIGH, 4))
+        blocks[order] = reference_fd_jacobian(
+            lambda z, order=order: reference_derivative(
+                machine.f, idx, z, u, u_dot, order), x, step, stencil)
+    M = np.vstack([blocks[o][i] for i, o in row_spec])
+    Me = M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-300)
+    Me = Me / np.maximum(np.linalg.norm(Me, axis=0, keepdims=True), 1e-300)
+    return M, float(np.linalg.det(M)), np.linalg.svd(Me, compute_uv=False)
+
+
+def pinned_points(kind, rng):
+    """Three generic points with nonzero input rates, then SM standstill or
+    the IM on the line of steady operating points."""
+    m = make_machine(kind)
+    points = []
+    for _ in range(3):
+        x = rng.normal(0.0, 1.0, m.n_states)
+        if kind == "im":
+            x *= np.array([2e-3, 2e-3, 0.05, 0.05, 100.0, 5.0])
+        elif kind.endswith("dcm"):
+            x *= np.array([5.0, 50.0, 1.0])
+        else:
+            x[:-2] *= 10.0
+            x[-2:] *= (100.0, np.pi)
+        u = rng.normal(0.0, 10.0, m.n_inputs)
+        u_dot = rng.normal(0.0, 10.0, m.n_inputs)
+        points.append((x, u, u_dot))
+    if kind == "im":
+        T_m, psi_rd = rng.uniform(2.0, 15.0), rng.uniform(0.02, 0.08)
+        points.append(im_steady_operating_point(
+            IM_DEFAULT, -slip_frequency(IM_DEFAULT, T_m, psi_rd), T_m,
+            psi_rd))
+    elif not kind.endswith("dcm"):
+        i_f = rng.uniform(1.0, 6.0) if m.has_field else None
+        x, u = sm_operating_point(m.params, 0.0, *rng.normal(0, 10, 2), i_f)
+        points.append((x, u, None))
+    return m, points
+
+
+@pytest.mark.parametrize("kind, speed_measured", [
+    ("pm_dcm", False), ("series_dcm", False), ("wrsm", False),
+    ("ipmsm", False), ("spmsm", False), ("syrm", False), ("im", True),
+    ("im", False)])
+def test_oracle_bits_match_nested_recursion(kind, speed_measured):
+    m, points = pinned_points(kind, np.random.default_rng(19))
+    for x, u, u_dot in points:
+        res = machine_observability_matrix(m, x, u, u_dot,
+                                           speed_measured=speed_measured)
+        M, det, sv = reference_lie_matrix(m, x, u, u_dot, speed_measured)
+        assert np.array_equal(res.matrix, M)
+        assert np.array_equal(res.determinant, det)
+        assert np.array_equal(res.singular_values, sv)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_fd_jacobian_matches_columnwise_reference(order):
+    """Same bits and C order as stacking the columns; ``fun`` may keep its
+    argument."""
+    z0 = np.array([0.3, -1.2, 2e3, 0.0])
+    kept = []
+
+    def fun(z):
+        kept.append(z)
+        return np.array([z[0] * z[1], np.sin(z[2]), z[3] ** 3 - z[0]])
+
+    J = fd_jacobian(fun, z0, rel_step=1e-4, order=order)
+    assert J.flags["C_CONTIGUOUS"]
+    assert np.array_equal(J, reference_fd_jacobian(fun, z0, 1e-4, order))
+    assert len({id(z) for z in kept}) == len(kept)
+    assert all(np.count_nonzero(z != z0) == 1 for z in kept)
