@@ -21,8 +21,7 @@ from .observability import (DegenerateFluxError, ObservabilityReport,
                             im_determinant, im_steady_determinant,
                             observability_report, slip_frequency,
                             sm_condition_ratio, sm_determinant,
-                            sm_observability_vector, sm_omega_o,
-                            unobservability_line)
+                            sm_observability_vector)
 from .ekf import (EkfConfig, EkfDivergenceError, EkfInstance,
                   SingularInnovationError, ekf_predict, ekf_update, make_ekf)
 from .rk4 import rk4_integrate, rk4_step

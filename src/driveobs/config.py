@@ -171,27 +171,24 @@ def _scenario_keys(cls) -> tuple:
                              if f.name != "params")
 
 
-_WRSM_SCENARIO_KEYS = _scenario_keys(WrsmScenario)
-_IM_SCENARIO_KEYS = _scenario_keys(ImScenario)
+# the scenario class of each scenario type, which is also its machine kind
+_SCENARIOS = {"wrsm": WrsmScenario, "im": ImScenario}
 _SCENARIO_DEFAULTS = {}   # the defaults of each field in either scenario
 for _f in dataclasses.fields(WrsmScenario) + dataclasses.fields(ImScenario):
     _SCENARIO_DEFAULTS.setdefault(_f.name, []).append(_f.default)
 
 
 def _validate_scenario(cfg, block):
-    _require_keys(block, set(_WRSM_SCENARIO_KEYS) | set(_IM_SCENARIO_KEYS),
+    _require_keys(block, {key for cls in _SCENARIOS.values()
+                          for key in _scenario_keys(cls)},
                   "scenario", required=("type",))
     stype = block["type"]
-    if stype == "wrsm":
-        _require_keys(block, _WRSM_SCENARIO_KEYS, "scenario")
-        if cfg["machine"]["kind"] != "wrsm":
-            raise ConfigError("wrsm scenario requires machine.kind == 'wrsm'")
-    elif stype == "im":
-        _require_keys(block, _IM_SCENARIO_KEYS, "scenario")
-        if cfg["machine"]["kind"] != "im":
-            raise ConfigError("im scenario requires machine.kind == 'im'")
-    else:
+    if stype not in _SCENARIOS:
         raise ConfigError(f"unknown scenario type {stype!r}")
+    _require_keys(block, _scenario_keys(_SCENARIOS[stype]), "scenario")
+    if cfg["machine"]["kind"] != stype:
+        raise ConfigError(f"{stype} scenario requires machine.kind == "
+                          f"{stype!r}")
     _require_numbers(block, _SCENARIO_DEFAULTS, "scenario")
 
 
@@ -249,7 +246,7 @@ def scenario_from_config(cfg: dict):
     if "scenario" not in cfg:
         raise ConfigError("config has no scenario block")
     block = dict(cfg["scenario"])
-    cls = WrsmScenario if block.pop("type") == "wrsm" else ImScenario
+    cls = _SCENARIOS[block.pop("type")]
     kind = cfg["machine"]["kind"]
     params = params_from_dict(kind, cfg["machine"].get("params", {}))
     kwargs = {key: _segments_from_json(val, f"scenario.{key}")

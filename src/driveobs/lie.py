@@ -97,13 +97,6 @@ def output_derivative(f, outputs, u, u_dot=None, order: int = 1):
                       @ u_dot)
 
 
-def lie_output_derivative(f, outputs, x, u, u_dot=None,
-                          order: int = 1) -> np.ndarray:
-    """``order``-th total time derivative of the output ``x[outputs]``; see
-    ``output_derivative``."""
-    return output_derivative(f, outputs, u, u_dot, order)(np.asarray(x, float))
-
-
 def numeric_observability_matrix(f, outputs, x, u, u_dot=None,
                                  row_spec: Sequence[Tuple[int, int]] = (),
                                  want_determinant: bool = True) -> ObsMatrixResult:

@@ -58,18 +58,6 @@ def sm_observability_vector(params, i_sd, i_sq, i_f=None, di_sd=0.0,
     return psi_od, L_oq * i_sq, dpsi_od, L_oq * di_sq
 
 
-def sm_omega_o(params, i_sd, i_sq, i_f=None, di_sd=0.0, di_sq=0.0,
-               di_f=0.0) -> float:
-    """
-    Angular velocity of the observability vector in the rotor frame.
-
-    NaN when the vector is zero (angle undefined).
-    """
-    psi_od, psi_oq, dd, dq = sm_observability_vector(
-        params, i_sd, i_sq, i_f, di_sd, di_sq, di_f)
-    return flux_angular_velocity((psi_od, psi_oq), (dd, dq))
-
-
 def sm_determinant(params, omega: float, i_sd: float, i_sq: float,
                    i_f: Optional[float] = None, di_sd: float = 0.0,
                    di_sq: float = 0.0, di_f: float = 0.0) -> float:
@@ -164,18 +152,6 @@ def slip_frequency(params: ImParams, T_m: float, psi_rd: float) -> float:
         raise DegenerateFluxError("psi_rd must be positive, with a square "
                                   "that does not underflow")
     return (params.R_r / params.p) * T_m / psi_sq
-
-
-def unobservability_line(params: ImParams, omega_e: float, T_m: float,
-                         psi_rd: float):
-    """
-    Speed on the not-guaranteed line for torque ``T_m``, plus the distance.
-
-    The line is ``omega_e = -slip(T_m)`` (zero stator frequency); it lies in
-    the generator-mode quadrants of the speed-torque plane.
-    """
-    on_line = -slip_frequency(params, T_m, psi_rd)
-    return on_line, omega_e - on_line
 
 
 def im_steady_determinant(params: ImParams, omega_e: float, T_m: float,
@@ -284,7 +260,6 @@ class ObservabilityReport:
     rank: int
     condition_number: float
     singular_values: tuple = ()   # of the equilibrated oracle matrix
-    oracle_scale: float = 1.0   # the scaled IM oracle needs no rescaling
     psi_od: float = math.nan
     psi_oq: float = math.nan
     guaranteed: bool = False

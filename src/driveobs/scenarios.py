@@ -4,9 +4,10 @@ observability channels.
 Two scenarios are bundled: a speed-driven wound-rotor machine with PI current
 control and high-frequency field-current injection at standstill, and an
 open-loop induction-machine voltage drive whose stator frequency dwells at
-exactly zero. Both log the closed-form observability channels alongside one
-or two open-loop filters; a worker process runs the plant and streams its
-trace rows to the filters.
+exactly zero. Both run ``run_scenario``: a worker process runs the plant and
+streams its trace rows to a bank of open-loop filters; the closed-form
+observability channels follow. A ``ScenarioSpec`` per kind, in ``SPECS``,
+holds what differs between the kinds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .observability import (OBS_THRESHOLD_DEFAULT, im_condition,
                             sm_determinant, slip_frequency)
 from .params import ImParams, WrsmParams, IM_DEFAULT, WRSM_DEFAULT
 from .profiles import PiController, Segment, SignalProfile
-from .trace import SimTrace, rolling_abs_max
+from .trace import SimTrace, finite_max, finite_min, rolling_abs_max
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,19 +48,25 @@ def _grid(sc) -> Tuple[int, int, int]:
     return n_steps, n_sub, n_steps // n_sub + 1
 
 
-def _check_scenario(sc, profiles: dict, noise: tuple):
+def _check_scenario(sc, positive: tuple, tau: str):
+    """The grid, the seed, the ``*_profile`` domains, and the values the
+    pipeline divides by or slides a window over: the ``positive`` fields
+    (every entry of a tuple) and the angle-rate filter constant ``tau``."""
     _grid(sc)
-    if not 0.0 < sc.obs_threshold < math.inf:   # NaN fails too
-        raise ValueError("obs_threshold must be finite and above 0, got "
-                         f"{sc.obs_threshold!r}")
+    for name in ("obs_threshold", "flag_window") + positive:
+        value = getattr(sc, name)
+        if not 0.0 < np.min(value) <= np.max(value) < math.inf:   # NaN too
+            raise ValueError(f"{name} must be finite and above 0, got "
+                             f"{value!r}")
+    if not getattr(sc, tau) >= 0:    # -dt_sim divides by 0
+        raise ValueError(f"{tau} must be at least 0, got "
+                         f"{getattr(sc, tau)!r}")
     if sc.seed is not None and sc.seed < 0:    # numpy seeds are unsigned
         raise ValueError(f"seed must be at least 0, got {sc.seed!r}")
-    for name, prof in profiles.items():
-        if prof.start > 0.0 or prof.end < sc.t_end - 1e-9:
+    for name, prof in vars(sc).items():
+        if name.endswith("_profile") and (
+                prof.start > 0.0 or prof.end < sc.t_end - 1e-9):
             raise ValueError(f"{name} must cover [0, t_end]")
-    for name in noise:    # the filters' covariance diagonals
-        if not np.min(getattr(sc, name)) > 0:
-            raise ValueError(f"{name} must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +106,8 @@ class WrsmScenario:
         if self.i_f_profile is None:
             self.i_f_profile = default_field_setpoint_profile(
                 windows=self.injection_windows)
-        _check_scenario(self, {"speed_profile": self.speed_profile,
-                               "i_f_profile": self.i_f_profile},
-                        ("ekf_q_diag", "ekf_r_diag", "ekf_p0_diag"))
-        if not self.v_limit > 0:    # NaN fails too
-            raise ValueError(f"v_limit must be above 0, got {self.v_limit!r}")
+        _check_scenario(self, ("ekf_q_diag", "ekf_r_diag", "ekf_p0_diag",
+                               "v_limit"), "omega_o_filter_tau")
 
 
 def default_wrsm_speed_profile() -> SignalProfile:
@@ -165,10 +169,9 @@ class ImScenario:
                 self.omega_rated, self.dwell)
         if self.load_profile is None:
             self.load_profile = default_im_load_profile()
-        _check_scenario(self, {"freq_profile": self.freq_profile,
-                               "load_profile": self.load_profile},
-                        ("ekf_q_diag_phys", "ekf_r_current_phys",
-                         "ekf_r_speed", "ekf_p0_phys"))
+        _check_scenario(self, ("ekf_q_diag_phys", "ekf_r_current_phys",
+                               "ekf_r_speed", "ekf_p0_phys", "omega_rated"),
+                        "omega_s_filter_tau")
 
 
 def default_im_frequency_profile(omega_rated: float = TWO_PI * 10.0,
@@ -195,119 +198,59 @@ def default_im_load_profile() -> SignalProfile:
 
 
 # ---------------------------------------------------------------------------
-# plant generators and input sampling
-
-# integration steps whose profile inputs are sampled at once; the loops read
-# each chunk's samples from Python lists and yield its trace rows as a block
-CHUNK = 1024
+# the pipeline of both scenario kinds
 
 
-def _chunks(n_steps: int, dt: float):
-    """Steps ``0 .. n_steps`` by chunk: the first step, the step times and
-    the RK4 stage times ``t + dt/2``, ``t + dt`` of all but the last step."""
-    for c0 in range(0, n_steps + 1, CHUNK):
-        t = np.arange(c0, min(c0 + CHUNK, n_steps + 1)) * dt
-        stages = t[:n_steps - c0]
-        yield c0, t, stages + 0.5 * dt, stages + dt
+class ScenarioSpec(NamedTuple):
+    """What one scenario kind brings to ``run_scenario``."""
+
+    machine: str         # meta["machine"], the kind's key in SPECS
+    plant: Callable      # sc -> blocks of trace rows, in a worker process
+    columns: tuple       # the names of a plant row's entries
+    filters: Callable    # sc -> (the bank, rows -> its inputs, noisy outputs)
+    finish: Callable     # (sc, cols, est, innov) -> trace columns, meta
+    flag: str            # the channel whose windowed max sets obs_violated
+    summary: Callable    # (trace, violated) -> windows, checks: summarize
 
 
-def _lists(*arrays):
-    return [a.tolist() for a in arrays]
+def run_scenario(spec: ScenarioSpec, sc) -> SimTrace:
+    """Simulate a scenario of the kind ``spec``; returns the trace on the
+    filter grid. Without ``run_ekf`` the filter columns read NaN, in the
+    shapes of the bank ``spec.filters`` builds."""
+    started = time.perf_counter()
+    filters, measure = spec.filters(sc)
+    rows, filtered, times = _overlapped(
+        started, spec.plant, (sc,), len(spec.columns),
+        filters if sc.run_ekf else [], measure)
+    n = len(rows)
+    if filtered is None:
+        X, _, _, C, _ = bank(filters)
+        filtered = (np.full((n,) + X.shape, math.nan),
+                    np.full((n,) + C.shape[:2], math.nan), [])
+    est, innov, health = filtered
 
+    lap = time.perf_counter()
+    cols, kind_meta = spec.finish(sc, dict(zip(spec.columns, rows.T)), est,
+                                  innov)
+    times["channels"] = time.perf_counter() - lap
 
-def wrsm_current_rates(p: WrsmParams):
-    """The wound-rotor machine's current kernel, taking the rotor position
-    ``th`` in place of its cosine and sine."""
-    rates = SynchronousMachine(p).rates
-    return lambda ia, ib, i_f, w, th, va, vb, vf: rates(
-        ia, ib, i_f, w, math.cos(th), math.sin(th), va, vb, vf)
-
-
-def _im_plant(sc: ImScenario, scaled: bool = True):
-    """IM plant stage: RK4 on the dt_sim grid; yields each chunk's trace
-    rows ``(t, i_a, i_b, psi_a, psi_b, omega_e, T_r, v_a, v_b, omega_s_cmd,
-    omega_s)`` as an ``(r, 11)`` array, the state in the model's own
-    coordinates, ``omega_s`` low-pass filtered every dt_sim."""
-    dt = sc.dt_sim
-    n_steps, n_sub, _ = _grid(sc)
-    rates = im_rates(sc.params) if scaled else im_rates_unscaled(sc.params)
-
-    def voltages(t):    # volts per hertz above a floor
-        w_cmd, phase, _ = sc.freq_profile.sample(t)
-        amp = sc.v_floor + (sc.v_rated - sc.v_floor) * np.minimum(
-            np.abs(w_cmd) / sc.omega_rated, 1.0)
-        return _lists(w_cmd, amp * np.cos(phase), amp * np.sin(phase))
-
-    ang_prev, omega_s_filt = None, 0.0    # flux-angle frequency filter
-    alpha = dt / (sc.omega_s_filter_tau + dt)
-    h2, h6 = 0.5 * dt, dt / 6.0     # RK4 stage and weight factors
-    ia = ib = pa = pb = we = 0.0
-    for c0, t_c, tm_c, t2_c in _chunks(n_steps, dt):
-        load = sc.load_profile.sample(t_c)[0].tolist()
-        w_cmds, va_c, vb_c = voltages(t_c)
-        _, va_m, vb_m = voltages(tm_c)
-        _, va_2, vb_2 = voltages(t2_c)
-        rows = []
-        for j, t in enumerate(t_c.tolist()):
-            s = c0 + j
-            Tr, va, vb = load[j], va_c[j], vb_c[j]
-
-            if ang_prev is not None or pa != 0.0 or pb != 0.0:
-                ang = math.atan2(pb, pa)
-                if ang_prev is not None:
-                    delta = ang - ang_prev
-                    delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
-                    omega_s_filt += alpha * (delta / dt - omega_s_filt)
-                ang_prev = ang
-
-            if s % n_sub == 0:
-                rows.append((t, ia, ib, pa, pb, we, Tr, va, vb, w_cmds[j],
-                             omega_s_filt))
-
-            if s < n_steps:
-                vam, vbm, va2, vb2 = va_m[j], vb_m[j], va_2[j], vb_2[j]
-                a1, b1, c1, d1, e1 = rates(ia, ib, pa, pb, we, Tr, va, vb)
-                a2, b2, c2, d2, e2 = rates(
-                    ia + h2 * a1, ib + h2 * b1, pa + h2 * c1, pb + h2 * d1,
-                    we + h2 * e1, Tr, vam, vbm)
-                a3, b3, c3, d3, e3 = rates(
-                    ia + h2 * a2, ib + h2 * b2, pa + h2 * c2, pb + h2 * d2,
-                    we + h2 * e2, Tr, vam, vbm)
-                a4, b4, c4, d4, e4 = rates(
-                    ia + dt * a3, ib + dt * b3, pa + dt * c3, pb + dt * d3,
-                    we + dt * e3, Tr, va2, vb2)
-                ia += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-                ib += h6 * (b1 + 2 * b2 + 2 * b3 + b4)
-                pa += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
-                pb += h6 * (d1 + 2 * d2 + 2 * d3 + d4)
-                we += h6 * (e1 + 2 * e2 + 2 * e3 + e4)
-        if rows:
-            yield np.array(rows)
-
-
-def run_im_truth(sc: ImScenario, scaled: bool = True) -> SimTrace:
-    """
-    Integrate only the IM ground truth (no filters, no channels).
-
-    With ``scaled=False`` the physical-coordinate model is integrated from
-    the equivalent initial state; the returned columns are always physical
-    (currents in A, fluxes in Wb), so the two runs are directly comparable.
-    Besides the state, the trace holds the flux-angle frequency estimate
-    ``omega_s`` and the applied voltages ``v_sa``, ``v_sb``.
-    """
-    p = sc.params
-    s_i, s_p = (p.L_sigma, p.k_r) if scaled else (1.0, 1.0)
-    r = np.concatenate(list(_im_plant(sc, scaled))).T
-    cols = {"t": r[0], "i_sa": r[1] / s_i, "i_sb": r[2] / s_i,
-            "psi_ra": r[3] / s_p, "psi_rb": r[4] / s_p, "omega_e": r[5],
-            "T_r": r[6], "omega_s": r[10], "v_sa": r[7], "v_sb": r[8]}
-    meta = {"machine": "im", "scaled": scaled, "dt_sim": sc.dt_sim,
-            "trace_dt": sc.trace_dt, "t_end": sc.t_end}
+    # a window at least as long as the trace is the running maximum
+    width = min(max(int(round(sc.flag_window / sc.trace_dt)), 1), n)
+    channel_max = rolling_abs_max(cols[spec.flag], width)
+    cols["obs_violated"] = (channel_max < sc.obs_threshold).astype(float)
+    steps = sum(h[0] for h in health)
+    meta = {
+        "machine": spec.machine, **kind_meta,
+        "dt_sim": sc.dt_sim, "trace_dt": sc.trace_dt, "t_end": sc.t_end,
+        "obs_threshold": sc.obs_threshold, "flag_window": sc.flag_window,
+        "ekf_steps": steps,
+        "ekf_p_max_asym": max((h[1] for h in health), default=0.0),
+        "ekf_p_min_eig_ratio": min(h[2] for h in health) if steps
+        else math.nan,
+        "timings": {k: times[k] for k in ("plant", "channels", "filters")},
+        "plant_busy_s": times["plant_busy_s"],
+        "wall_time_s": time.perf_counter() - started}
     return SimTrace(columns=cols, meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# stages shared by both scenarios
 
 
 class PlantWorkerError(RuntimeError):
@@ -433,29 +376,36 @@ def _run_filter(insts, n: int, blocks):
         asym.tolist(), eig_ratio.tolist())]
 
 
-def _scenario_trace(sc, cols: dict, channel: str, health, started: float,
-                    times: dict, **meta) -> SimTrace:
-    """
-    Finish a scenario trace: the windowed ``obs_violated`` flag is set where
-    the recent |``channel``| never reached the threshold; ``meta`` gains the
-    grid, the flag settings, the covariance health of all filters, the
-    ``times`` and the wall time since ``started``.
-    """
-    width = max(int(round(sc.flag_window / sc.trace_dt)), 1)
-    channel_max = rolling_abs_max(cols[channel], width)
-    cols["obs_violated"] = (channel_max < sc.obs_threshold).astype(float)
-    steps = sum(h[0] for h in health)
-    meta.update({
-        "dt_sim": sc.dt_sim, "trace_dt": sc.trace_dt, "t_end": sc.t_end,
-        "obs_threshold": sc.obs_threshold, "flag_window": sc.flag_window,
-        "ekf_steps": steps,
-        "ekf_p_max_asym": max((h[1] for h in health), default=0.0),
-        "ekf_p_min_eig_ratio": min(h[2] for h in health) if steps
-        else math.nan,
-        "timings": {k: times[k] for k in ("plant", "channels", "filters")},
-        "plant_busy_s": times["plant_busy_s"],
-        "wall_time_s": time.perf_counter() - started})
-    return SimTrace(columns=cols, meta=meta)
+# ---------------------------------------------------------------------------
+# plant loops: input sampling and the angle-rate filter
+
+# integration steps whose profile inputs are sampled at once; the loops read
+# each chunk's samples from Python lists and yield its trace rows as a block
+CHUNK = 1024
+
+
+def _chunks(n_steps: int, dt: float):
+    """Steps ``0 .. n_steps`` by chunk: the first step, the step times and
+    the RK4 stage times ``t + dt/2``, ``t + dt`` of all but the last step."""
+    for c0 in range(0, n_steps + 1, CHUNK):
+        t = np.arange(c0, min(c0 + CHUNK, n_steps + 1)) * dt
+        stages = t[:n_steps - c0]
+        yield c0, t, stages + 0.5 * dt, stages + dt
+
+
+def _angle_rate(dt: float, tau: float):
+    """Low-pass filter (time constant ``tau``) of an angle's rate: each call
+    takes the next angle, ``dt`` on, and returns the filtered rate."""
+    alpha, prev, rate = dt / (tau + dt), None, 0.0
+
+    def step(angle: float) -> float:
+        nonlocal prev, rate
+        if prev is not None:
+            delta = (angle - prev + math.pi) % TWO_PI - math.pi
+            rate += alpha * (delta / dt - rate)
+        prev = angle
+        return rate
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +415,14 @@ def _scenario_trace(sc, cols: dict, channel: str, health, started: float,
 _WRSM_PLANT = ("t", "omega", "theta", "i_sa", "i_sb", "i_f", "i_sd", "i_sq",
                "v_sa", "v_sb", "v_f", "i_d_ref", "i_q_ref", "i_f_ref",
                "pi_saturated", "psi_od", "psi_oq", "theta_o", "omega_o")
+
+
+def wrsm_current_rates(p: WrsmParams):
+    """The wound-rotor machine's current kernel, taking the rotor position
+    ``th`` in place of its cosine and sine."""
+    rates = SynchronousMachine(p).rates
+    return lambda ia, ib, i_f, w, th, va, vb, vf: rates(
+        ia, ib, i_f, w, math.cos(th), math.sin(th), va, vb, vf)
 
 
 def _wrsm_start(sc: WrsmScenario):
@@ -491,17 +449,18 @@ def _wrsm_plant(sc: WrsmScenario):
     pi_f = PiController(sc.bw_f * p.L_f, sc.bw_f * p.R_f,
                         -sc.v_limit, sc.v_limit)
 
-    theta_o_prev, omega_o_filt = None, 0.0    # vector-angle velocity filter
-    alpha = dt / (sc.omega_o_filter_tau + dt)
+    # filtered rate of the observability-vector angle
+    omega_o, omega_o_filt = _angle_rate(dt, sc.omega_o_filter_tau), 0.0
     h2, h6 = 0.5 * dt, dt / 6.0     # RK4 stage and weight factors
 
     LD, Mf, L_oq = p.L_delta, p.M_f, p.L_delta - p.field_coupling
 
     for c0, t_c, tm_c, t2_c in _chunks(n_steps, dt):
         (w_c, th_c, _), (w_m, th_m, _), (w_2, th_2, _) = (
-            _lists(*sc.speed_profile.sample(times))
+            [a.tolist() for a in sc.speed_profile.sample(times)]
             for times in (t_c, tm_c, t2_c))
-        i_f_refs, _, di_f_refs = _lists(*sc.i_f_profile.sample(t_c))
+        i_f_refs, _, di_f_refs = [a.tolist()
+                                  for a in sc.i_f_profile.sample(t_c)]
         rows = []
         for j, t in enumerate(t_c.tolist()):
             s = c0 + j
@@ -521,17 +480,14 @@ def _wrsm_plant(sc: WrsmScenario):
             vb = s1 * v_d + c1 * v_q
             saturated = pi_d.saturated or pi_q.saturated or pi_f.saturated
 
-            # observability-vector angle tracking at the integration rate
+            # observability-vector angle tracking at the integration rate,
+            # while the vector is not zero
             psi_od = LD * i_d + Mf * i_f
             psi_oq = L_oq * i_q
             th_o = math.nan
             if psi_od != 0.0 or psi_oq != 0.0:
                 th_o = math.atan2(psi_oq, psi_od)
-                if theta_o_prev is not None:
-                    delta = th_o - theta_o_prev
-                    delta = (delta + math.pi) % (2.0 * math.pi) - math.pi
-                    omega_o_filt += alpha * (delta / dt - omega_o_filt)
-                theta_o_prev = th_o
+                omega_o_filt = omega_o(th_o)
 
             if s % n_sub == 0:
                 rows.append((t, w, th, ia, ib, i_f, i_d, i_q, va, vb, v_f,
@@ -558,149 +514,288 @@ def _wrsm_plant(sc: WrsmScenario):
             yield np.array(rows)
 
 
-def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
-    """Simulate the WRSM scenario; returns the trace on the filter grid."""
-    started = time.perf_counter()
-    p = sc.params
-    machine = SynchronousMachine(p)
-
+def _wrsm_filters(sc: WrsmScenario):
+    """The WRSM filter, a bank of one, started ``theta0_error`` off; its
+    inputs v_sa, v_sb, v_f and measurements i_sa, i_sb, i_f."""
     ia, ib, i_f, theta0 = _wrsm_start(sc)
-    filters = [make_ekf(machine, EkfConfig(
+    noisy = _noise(sc.noise_std, sc.seed)
+    insts = [make_ekf(SynchronousMachine(sc.params), EkfConfig(
         Q=np.diag(sc.ekf_q_diag), R=np.diag(sc.ekf_r_diag),
         P0=np.diag(sc.ekf_p0_diag), Ts=sc.trace_dt,
-        x0=[ia, ib, i_f, 0.0, theta0 + sc.theta0_error]))] if sc.run_ekf \
-        else []
-    noisy = _noise(sc.noise_std, sc.seed)
-    # inputs v_sa, v_sb, v_f; measurements i_sa, i_sb, i_f
-    rows, filtered, times = _overlapped(
-        started, _wrsm_plant, (sc,), len(_WRSM_PLANT), filters,
-        lambda block: (block[:, 8:11], [noisy(block[:, 3:6])]))
+        x0=[ia, ib, i_f, 0.0, theta0 + sc.theta0_error]))]
+    return insts, lambda block: (block[:, 8:11], [noisy(block[:, 3:6])])
 
-    lap = time.perf_counter()
-    cols = dict(zip(_WRSM_PLANT, rows.T))
+
+def _wrsm_finish(sc: WrsmScenario, cols: dict, est, innov):
+    """The WRSM trace: the plant's columns with ``theta`` wrapped, the
+    closed-form channels and the filter's estimates, errors and
+    innovations."""
+    p = sc.params
     theta = cols["theta"]
     cols["theta"] = wrap_angle(theta)
 
-    # closed-form channels on the trace columns
     c1, s1 = np.cos(theta), np.sin(theta)
     w, i_d, i_q, i_f = cols["omega"], cols["i_sd"], cols["i_sq"], cols["i_f"]
-    dia, dib, dif = machine.rates(cols["i_sa"], cols["i_sb"], i_f, w, c1, s1,
-                                  cols["v_sa"], cols["v_sb"], cols["v_f"])
+    dia, dib, dif = SynchronousMachine(p).rates(
+        cols["i_sa"], cols["i_sb"], i_f, w, c1, s1, cols["v_sa"],
+        cols["v_sb"], cols["v_f"])
     did = (c1 * dia + s1 * dib) + w * i_q
     diq = (-s1 * dia + c1 * dib) - w * i_d
-    det_sm = sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif)
     ratio = sm_condition_ratio(p, i_d, i_q, i_f)
     # the distance to the determinant's zero set omega = ratio * omega_o, in
     # the column after omega_o; a zero observability vector (NaN ratio)
     # reads 0, not guaranteed
     cols["margin"] = np.where(np.isnan(ratio), 0.0,
                               w - ratio * cols["omega_o"])
-    times["channels"] = time.perf_counter() - lap
 
-    n = len(rows)
-    est, innov, health = filtered or (np.full((n, 1, 5), math.nan),
-                                      np.full((n, 1, 3), math.nan), [])
     est, innov = est[:, 0], innov[:, 0]
-
     cols.update({
-        "det_sm": det_sm, "ratio": ratio,
+        "det_sm": sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif),
+        "ratio": ratio,
         "ekf_theta": wrap_angle(est[:, 4]), "ekf_omega": est[:, 3],
         "ekf_i_sa": est[:, 0], "ekf_i_sb": est[:, 1], "ekf_i_f": est[:, 2],
         "theta_err": wrap_angle(est[:, 4] - theta),
         "omega_err": est[:, 3] - cols["omega"],
         "innov_a": innov[:, 0], "innov_b": innov[:, 1], "innov_f": innov[:, 2],
     })
+    return cols, {
+        "injection_windows": [list(wdw) for wdw in sc.injection_windows],
+        "theta0_error": sc.theta0_error,
+        "pi_saturated_samples": int(np.sum(cols["pi_saturated"] > 0))}
 
-    return _scenario_trace(
-        sc, cols, "margin", health, started, times, machine="wrsm",
-        injection_windows=[list(wdw) for wdw in sc.injection_windows],
-        theta0_error=sc.theta0_error,
-        pi_saturated_samples=int(np.sum(cols["pi_saturated"] > 0)))
+
+def _wrsm_summary(trace: SimTrace, violated) -> dict:
+    """The WRSM summary's windows: before the first injection window,
+    inside it, and the row 0.5 s into it."""
+    t, meta = trace.t, trace.meta
+    windows = meta["injection_windows"]
+    theta_err, omega_err = trace["theta_err"], trace["omega_err"]
+    pre = inj1 = settled = np.zeros(len(t), bool)
+    if windows:
+        w0, w1 = windows[0]
+        pre = trace.window_mask(0.1, w0 - 0.01)
+        inj1 = trace.window_mask(w0 + 0.02, w1)
+        # the row 0.5 s into the window, or the last row if the run ends first
+        t_settled = t[min(int(np.searchsorted(t, w0 + 0.5)), len(t) - 1)]
+        settled = trace.window_mask(t_settled, t_settled)
+    return {
+        "injection_windows": windows,
+        "pi_saturated_samples": meta.get("pi_saturated_samples", 0),
+        "determinant": "det_sm",
+        "window_stats": {
+            "theta_err_violated": (theta_err, violated),
+            "theta_err_observable": (theta_err, ~violated),
+            "omega_err_violated": (omega_err, violated),
+            "omega_err_observable": (omega_err, ~violated)},
+        "checks": {
+            "held_before_injection": (
+                pre, finite_min(np.abs(theta_err[pre])) > 0.2),
+            "converged_after_injection": (
+                settled, np.all(np.abs(theta_err[settled]) < 0.05)),
+            "omega_o_active_in_window": (
+                inj1, finite_max(np.abs(trace["omega_o"][inj1]))
+                >= meta["obs_threshold"]),
+            "flag_set_at_standstill": (pre, np.all(violated[pre])),
+            "flag_cleared_in_window": (inj1, not np.any(violated[inj1]))}}
+
+
+def run_wrsm_scenario(sc: WrsmScenario) -> SimTrace:
+    """Simulate the WRSM scenario; returns the trace on the filter grid."""
+    return run_scenario(SPECS["wrsm"], sc)
 
 
 # ---------------------------------------------------------------------------
 # IM scenario
 
+# trace columns of the open loop, the state in the model's own coordinates
+_IM_PLANT = ("t", "i_sa", "i_sb", "psi_ra", "psi_rb", "omega_e", "T_r",
+             "v_sa", "v_sb", "omega_s_cmd", "omega_s")
 
-def _im_ekf_config(sc: ImScenario, machine: InductionMachine,
-                   speed_measured: bool) -> EkfConfig:
-    """Physical-unit tuning mapped into scaled coordinates.
 
-    The Q diagonal is a continuous-time noise intensity; the discrete
-    per-step covariance is Q*Ts. Covariances pick up the square of the
-    state scaling.
+def _im_plant(sc: ImScenario, scaled: bool = True):
+    """IM plant stage: RK4 on the dt_sim grid; yields each chunk's trace
+    rows as an ``(r, 11)`` array of the columns ``_IM_PLANT``, ``omega_s``
+    low-pass filtered every dt_sim."""
+    dt = sc.dt_sim
+    n_steps, n_sub, _ = _grid(sc)
+    rates = im_rates(sc.params) if scaled else im_rates_unscaled(sc.params)
+
+    def voltages(t):    # volts per hertz above a floor
+        w_cmd, phase, _ = sc.freq_profile.sample(t)
+        amp = sc.v_floor + (sc.v_rated - sc.v_floor) * np.minimum(
+            np.abs(w_cmd) / sc.omega_rated, 1.0)
+        return [a.tolist() for a in (w_cmd, amp * np.cos(phase),
+                                     amp * np.sin(phase))]
+
+    # filtered rate of the flux angle, from the first nonzero flux on
+    omega_s, omega_s_filt = _angle_rate(dt, sc.omega_s_filter_tau), 0.0
+    flux_seen = False
+    h2, h6 = 0.5 * dt, dt / 6.0     # RK4 stage and weight factors
+    ia = ib = pa = pb = we = 0.0
+    for c0, t_c, tm_c, t2_c in _chunks(n_steps, dt):
+        load = sc.load_profile.sample(t_c)[0].tolist()
+        w_cmds, va_c, vb_c = voltages(t_c)
+        _, va_m, vb_m = voltages(tm_c)
+        _, va_2, vb_2 = voltages(t2_c)
+        rows = []
+        for j, t in enumerate(t_c.tolist()):
+            s = c0 + j
+            Tr, va, vb = load[j], va_c[j], vb_c[j]
+
+            if flux_seen or pa != 0.0 or pb != 0.0:
+                flux_seen, omega_s_filt = True, omega_s(math.atan2(pb, pa))
+
+            if s % n_sub == 0:
+                rows.append((t, ia, ib, pa, pb, we, Tr, va, vb, w_cmds[j],
+                             omega_s_filt))
+
+            if s < n_steps:
+                vam, vbm, va2, vb2 = va_m[j], vb_m[j], va_2[j], vb_2[j]
+                a1, b1, c1, d1, e1 = rates(ia, ib, pa, pb, we, Tr, va, vb)
+                a2, b2, c2, d2, e2 = rates(
+                    ia + h2 * a1, ib + h2 * b1, pa + h2 * c1, pb + h2 * d1,
+                    we + h2 * e1, Tr, vam, vbm)
+                a3, b3, c3, d3, e3 = rates(
+                    ia + h2 * a2, ib + h2 * b2, pa + h2 * c2, pb + h2 * d2,
+                    we + h2 * e2, Tr, vam, vbm)
+                a4, b4, c4, d4, e4 = rates(
+                    ia + dt * a3, ib + dt * b3, pa + dt * c3, pb + dt * d3,
+                    we + dt * e3, Tr, va2, vb2)
+                ia += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+                ib += h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                pa += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+                pb += h6 * (d1 + 2 * d2 + 2 * d3 + d4)
+                we += h6 * (e1 + 2 * e2 + 2 * e3 + e4)
+        if rows:
+            yield np.array(rows)
+
+
+def run_im_truth(sc: ImScenario, scaled: bool = True) -> SimTrace:
     """
-    S = machine.scale_vector
-    Q = np.diag(np.asarray(sc.ekf_q_diag_phys) * sc.trace_dt * S**2)
-    r = [sc.ekf_r_current_phys * S[0]**2, sc.ekf_r_current_phys * S[1]**2]
-    if speed_measured:
-        r.append(sc.ekf_r_speed)
-    R = np.diag(r)
-    P0 = np.diag(sc.ekf_p0_phys * S**2)
-    x0 = np.asarray(sc.x0_est_phys, float) * S
-    return EkfConfig(Q=Q, R=R, P0=P0, x0=x0, Ts=sc.trace_dt)
+    Integrate only the IM ground truth (no filters, no channels).
 
-
-def run_im_scenario(sc: ImScenario) -> SimTrace:
-    """Simulate the IM scenario with both filters; trace on the filter grid."""
-    started = time.perf_counter()
+    With ``scaled=False`` the physical-coordinate model is integrated from
+    the equivalent initial state; the returned columns are always physical
+    (currents in A, fluxes in Wb), so the two runs are directly comparable.
+    Besides the state, the trace holds the flux-angle frequency estimate
+    ``omega_s`` and the applied voltages ``v_sa``, ``v_sb``.
+    """
     p = sc.params
-    machine = InductionMachine(p)
-    kr, L_sig = p.k_r, p.L_sigma
+    s_i, s_p = (p.L_sigma, p.k_r) if scaled else (1.0, 1.0)
+    r = np.concatenate(list(_im_plant(sc, scaled))).T
+    cols = {"t": r[0], "i_sa": r[1] / s_i, "i_sb": r[2] / s_i,
+            "psi_ra": r[3] / s_p, "psi_rb": r[4] / s_p, "omega_e": r[5],
+            "T_r": r[6], "omega_s": r[10], "v_sa": r[7], "v_sb": r[8]}
+    meta = {"machine": "im", "scaled": scaled, "dt_sim": sc.dt_sim,
+            "trace_dt": sc.trace_dt, "t_end": sc.t_end}
+    return SimTrace(columns=cols, meta=meta)
 
-    # the with-speed and the sensorless filter: one bank
-    filters = [make_ekf(machine, _im_ekf_config(sc, machine, speed_measured),
-                        speed_measured=speed_measured)
-               for speed_measured in (True, False)] if sc.run_ekf else []
-    noisy = _noise(sc.noise_std * L_sig, sc.seed)
 
-    def measure(block):    # inputs v_a, v_b; currents, speed omega_e
+def _im_filters(sc: ImScenario):
+    """The with-speed and the sensorless filter, one bank, their
+    physical-unit tuning mapped into scaled coordinates. The Q diagonal is
+    a continuous-time noise intensity; the discrete per-step covariance is
+    Q*Ts. Covariances pick up the square of the state scaling. Inputs v_a,
+    v_b; measurements the currents, and the speed omega_e with speed."""
+    machine = InductionMachine(sc.params)
+    S = machine.scale_vector
+    r = [sc.ekf_r_current_phys * S[0]**2, sc.ekf_r_current_phys * S[1]**2,
+         sc.ekf_r_speed]
+    noisy = _noise(sc.noise_std * sc.params.L_sigma, sc.seed)
+
+    def measure(block):
         y_i = noisy(block[:, 1:3])
         return block[:, 7:9], [np.column_stack([y_i, block[:, 5]]), y_i]
+    insts = [make_ekf(machine, EkfConfig(
+        Q=np.diag(np.asarray(sc.ekf_q_diag_phys) * sc.trace_dt * S**2),
+        R=np.diag(r if speed_measured else r[:2]),
+        P0=np.diag(sc.ekf_p0_phys * S**2),
+        x0=np.asarray(sc.x0_est_phys, float) * S, Ts=sc.trace_dt),
+        speed_measured=speed_measured) for speed_measured in (True, False)]
+    return insts, measure
 
-    rows, filtered, times = _overlapped(started, _im_plant, (sc,),
-                                        11, filters, measure)
-    t, X, V = rows[:, 0], rows[:, 1:7], rows[:, 7:9]
-    omega_s_cmd, omega_s = rows[:, 9], rows[:, 10]
 
-    # closed-form channels on the trace columns; the line distance is NaN
-    # where the flux is too small to define the slip
-    lap = time.perf_counter()
-    ia, ib, pa, pb, we, Tr = X.T
-    xdot = machine.rates(ia, ib, pa, pb, we, Tr, V[:, 0], V[:, 1])
+def _im_finish(sc: ImScenario, cols: dict, est, innov):
+    """The IM trace: inputs, state and both filters' estimates in physical
+    units, the closed-form channels, and the filters' relative flux errors
+    and innovations."""
+    p = sc.params
+    kr, L_sig = p.k_r, p.L_sigma
+    x = tuple(cols[name] for name in _IM_PLANT[1:7])
+    ia, ib, pa, pb, we, Tr = x
+    omega_s = cols["omega_s"]
+
+    xdot = InductionMachine(p).rates(*x, cols["v_sa"], cols["v_sb"])
     T_m = (p.p / L_sig) * (ib * pa - ia * pb)
     psi_rd = np.hypot(pa, pb) / kr
-    im_cond = im_condition(p, we, xdot[4], omega_s)
-    det_with_speed = im_determinant(p, "with_speed", X.T, xdot)
-    det_sensorless = im_determinant(p, "sensorless", X.T, xdot)
-    line_distance = we + slip_frequency(
-        p, T_m, np.where(psi_rd > 1e-9, psi_rd, math.nan))
-    times["channels"] = time.perf_counter() - lap
-
-    est, innov, health = filtered or (np.full((len(t), 2, 6), math.nan),
-                                      np.full((len(t), 2, 3), math.nan), [])
+    out = {name: cols[name] for name in ("t", "omega_s_cmd", "v_sa", "v_sb")}
+    out["T_load"] = Tr.copy()
+    out.update((name, cols[name]) for name in _IM_PLANT[1:7])
+    out.update({
+        "T_m": T_m, "psi_rd": psi_rd, "omega_s": omega_s,
+        "im_cond": im_condition(p, we, xdot[4], omega_s),
+        "det_with_speed": im_determinant(p, "with_speed", x, xdot),
+        "det_sensorless": im_determinant(p, "sensorless", x, xdot),
+        # NaN where the flux is too small to define the slip
+        "line_distance": we + slip_frequency(
+            p, T_m, np.where(psi_rd > 1e-9, psi_rd, math.nan))})
     flux_err = np.hypot(est[..., 2].T - pa, est[..., 3].T - pb) / np.maximum(
         np.hypot(pa, pb), 1e-12)
 
     # physical units, in place so that each trace column is a view
-    for A in (X, est):
-        A[..., :2] /= L_sig
-        A[..., 2:4] /= kr
-    cols = {"t": t, "omega_s_cmd": omega_s_cmd, "v_sa": V[:, 0],
-            "v_sb": V[:, 1], "T_load": X[:, 5].copy(), "i_sa": X[:, 0],
-            "i_sb": X[:, 1], "psi_ra": X[:, 2], "psi_rb": X[:, 3],
-            "omega_e": X[:, 4], "T_r": X[:, 5], "T_m": T_m,
-            "psi_rd": psi_rd, "omega_s": omega_s, "im_cond": im_cond,
-            "det_with_speed": det_with_speed,
-            "det_sensorless": det_sensorless, "line_distance": line_distance}
+    for A in (ia, ib, est[..., :2]):
+        A /= L_sig
+    for A in (pa, pb, est[..., 2:4]):
+        A /= kr
     for b, tag in enumerate(("spd", "sl")):
-        cols.update({
-            f"{tag}_i_sa": est[:, b, 0], f"{tag}_i_sb": est[:, b, 1],
-            f"{tag}_psi_ra": est[:, b, 2], f"{tag}_psi_rb": est[:, b, 3],
-            f"{tag}_omega_e": est[:, b, 4], f"{tag}_T_r": est[:, b, 5],
-            f"{tag}_flux_err": flux_err[b],
-            f"{tag}_innov_a": innov[:, b, 0], f"{tag}_innov_b": innov[:, b, 1]})
-    cols["spd_innov_w"] = innov[:, 0, 2]
+        out.update((f"{tag}_{name}", est[:, b, j])
+                   for j, name in enumerate(_IM_PLANT[1:7]))
+        out.update({f"{tag}_flux_err": flux_err[b], f"{tag}_innov_a":
+                    innov[:, b, 0], f"{tag}_innov_b": innov[:, b, 1]})
+    out["spd_innov_w"] = innov[:, 0, 2]
+    return out, {"dwell": list(sc.dwell)}
 
-    return _scenario_trace(sc, cols, "im_cond", health, started, times,
-                           machine="im", dwell=list(sc.dwell))
+
+def _im_summary(trace: SimTrace, violated) -> dict:
+    """The IM summary's windows: steady before the dwell, inside it, and
+    1.0-1.5 s after it."""
+    meta = trace.meta
+    d0, d1 = meta["dwell"]
+    dwell = trace.window_mask(d0 + 0.2, d1)
+    after = trace.window_mask(d1 + 1.0, d1 + 1.5)
+    steady = trace.window_mask(0.5, d0 - 1.0)
+    running = trace.window_mask(0.5, meta["t_end"])
+    spd_err, sl_err = trace["spd_flux_err"], trace["sl_flux_err"]
+    return {
+        "dwell": meta["dwell"],
+        "determinant": {"with_speed": "det_with_speed",
+                        "sensorless": "det_sensorless"},
+        "window_stats": {
+            "spd_flux_err_steady": (spd_err, steady),
+            "sl_flux_err_dwell": (sl_err, dwell),
+            "sl_flux_err_after": (sl_err, after),
+            "sl_flux_err_violated": (sl_err, violated),
+            "sl_flux_err_observable": (sl_err, ~violated)},
+        "checks": {
+            "with_speed_flux_ok": (
+                running, finite_max(spd_err[running]) < 0.05),
+            "sensorless_fails_in_dwell": (
+                dwell, finite_max(sl_err[dwell]) > 0.20),
+            "sensorless_reconverges": (
+                after, finite_max(sl_err[after]) < 0.05),
+            "cond_small_in_dwell": (
+                dwell, finite_max(np.abs(trace["im_cond"][dwell]))
+                < meta["obs_threshold"]),
+            "flag_set_in_dwell": (dwell, np.all(violated[dwell]))}}
+
+
+def run_im_scenario(sc: ImScenario) -> SimTrace:
+    """Simulate the IM scenario with both filters; trace on the filter grid."""
+    return run_scenario(SPECS["im"], sc)
+
+
+SPECS = {spec.machine: spec for spec in (
+    ScenarioSpec("wrsm", _wrsm_plant, _WRSM_PLANT, _wrsm_filters,
+                 _wrsm_finish, "margin", _wrsm_summary),
+    ScenarioSpec("im", _im_plant, _IM_PLANT, _im_filters, _im_finish,
+                 "im_cond", _im_summary))}

@@ -94,6 +94,20 @@ def rolling_abs_max(x: np.ndarray, width: int) -> np.ndarray:
     return sliding_window_view(padded, width).max(axis=1)
 
 
+def finite_max(x) -> float:
+    """The largest finite entry of ``x``; NaN if it has none."""
+    x = np.asarray(x, float)
+    x = x[np.isfinite(x)]
+    return float(np.max(x)) if x.size else math.nan
+
+
+def finite_min(x) -> float:
+    """The smallest finite entry of ``x``; NaN if it has none."""
+    x = np.asarray(x, float)
+    x = x[np.isfinite(x)]
+    return float(np.min(x)) if x.size else math.nan
+
+
 def error_stats(err: np.ndarray, mask: np.ndarray) -> dict:
     """RMS and max of |err| over the masked window."""
     sel = np.asarray(err, float)[np.asarray(mask, bool)]

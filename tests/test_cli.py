@@ -227,6 +227,25 @@ def test_simulate_summary_wall_time_is_the_scenarios(tmp_path, monkeypatch):
     assert summary["wall_time_s"] == 123.0
 
 
+class ScenarioCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", ["wrsm", "im"])
+def test_simulate_calls_the_scenario_function_of_the_cli_module(
+        tmp_path, monkeypatch, kind):
+    # the benchmark wraps cli.run_wrsm_scenario and cli.run_im_scenario by
+    # name, so simulate must look them up when it runs
+    def called(scenario):
+        raise ScenarioCalled(type(scenario).__name__)
+
+    monkeypatch.setattr(cli, f"run_{kind}_scenario", called)
+    cfg = write_cfg(tmp_path, short_wrsm_cfg() if kind == "wrsm"
+                    else short_im_cfg())
+    with pytest.raises(ScenarioCalled, match=f"{kind.capitalize()}Scenario"):
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+
+
 def check_stage_timings(summary):
     timings = summary["timings"]
     assert set(timings) == {"plant", "channels", "filters", "csv"}
@@ -552,6 +571,9 @@ def test_sweep_rejects_malformed_values(tmp_path, capsys, kind, sweep):
     ("simulate", "scenario", "obs_threshold", float("nan")),
     ("simulate", "scenario", "obs_threshold", 0.0),
     ("simulate", "scenario", "obs_threshold", -1.0),
+    ("simulate", "scenario", "flag_window", -1.0),
+    # -dt_sim divides by 0 in the vector-angle rate filter
+    ("simulate", "scenario", "omega_o_filter_tau", -1e-5),
 ])
 def test_wrongly_typed_values_exit_2(tmp_path, capsys, monkeypatch, command,
                                      where, key, value):
@@ -589,6 +611,13 @@ def test_wrongly_typed_values_exit_2(tmp_path, capsys, monkeypatch, command,
     # L_0 - L_2 rounds to 0, so det L(0) is 0 in the float kernel
     ("check", "syrm", {"params": {"L_d": 1.0, "L_q": 1e-17}},
      "|det L| below 1e-18", 2),
+    # the voltage amplitude divides the frequency by omega_rated
+    ("simulate", "im", {"scenario": {"omega_rated": 0.0}}, "omega_rated", 2),
+    # -dt_sim divides by 0 in the flux-angle rate filter
+    ("simulate", "im", {"scenario": {"omega_s_filter_tau": -5e-6}},
+     "omega_s_filter_tau", 2),
+    # a flag window longer than the trace is the running maximum
+    ("simulate", "wrsm", {"scenario": {"flag_window": 1e300}}, None, 0),
 ])
 def test_extreme_values_exit_without_traceback(tmp_path, capsys, command,
                                                kind, where, value, code):
@@ -602,6 +631,9 @@ def test_extreme_values_exit_without_traceback(tmp_path, capsys, command,
     if command == "simulate":
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == code
+    if code == 0:
+        assert capsys.readouterr().err == ""
+        return
     message = assert_one_line_error(capsys)
     if value is not None:
         assert value in message

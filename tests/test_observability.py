@@ -14,14 +14,30 @@ from driveobs.observability import (DegenerateFluxError, dcm_determinant,
                                     im_steady_operating_point,
                                     observability_report, slip_frequency,
                                     sm_condition_ratio, sm_determinant,
-                                    sm_observability_vector, sm_omega_o,
-                                    sm_operating_point, unobservability_line)
+                                    sm_observability_vector,
+                                    sm_operating_point)
 from driveobs.params import (BrushlessSmParams, HESM_DEFAULT, IM_DEFAULT,
                              IPMSM_DEFAULT, PM_DCM_DEFAULT,
                              SERIES_DCM_DEFAULT, SM_KINDS, SPMSM_DEFAULT,
                              SYRM_DEFAULT, WRSM_DEFAULT)
 
 RNG = np.random.default_rng(77)
+
+
+def sm_omega_o(params, i_sd, i_sq, i_f=None, di_sd=0.0, di_sq=0.0,
+               di_f=0.0):
+    """Angular velocity of the observability vector in the rotor frame; NaN
+    when the vector is zero (angle undefined)."""
+    psi_od, psi_oq, dd, dq = sm_observability_vector(
+        params, i_sd, i_sq, i_f, di_sd, di_sq, di_f)
+    return flux_angular_velocity((psi_od, psi_oq), (dd, dq))
+
+
+def unobservability_line(params, omega_e, T_m, psi_rd):
+    """Speed on the not-guaranteed line ``omega_e = -slip(T_m)`` (zero
+    stator frequency) for torque ``T_m``, plus the distance to it."""
+    on_line = -slip_frequency(params, T_m, psi_rd)
+    return on_line, omega_e - on_line
 
 SPMSM_SPEC = BrushlessSmParams(kind="spmsm", R_s=0.01, L_d=1e-3, L_q=1e-3,
                                psi_r=0.1, J=1e-2, p=2)
@@ -218,8 +234,7 @@ def test_im_determinants_match_oracle():
 
 
 def test_sensorless_oracle_scale_state_independent():
-    # the scaled-coordinate oracle needs no rescaling: the report's
-    # oracle_scale is 1
+    # the scaled-coordinate oracle needs no rescaling
     machine = InductionMachine(IM_DEFAULT)
     scale = 1.0
     ratios = []
@@ -540,4 +555,3 @@ def test_report_im_sensorless_on_line():
     rep = observability_report(machine, x, u, ud)
     assert not rep.guaranteed
     assert abs(rep.margin) < 1e-6
-    assert rep.oracle_scale == 1.0

@@ -17,7 +17,7 @@ from driveobs.ekf import (EkfConfig, EkfDivergenceError,
                           SingularInnovationError, ekf_predict, ekf_update,
                           make_ekf)
 from driveobs.scenarios import (CHUNK, ImScenario, PlantWorkerError,
-                                WrsmScenario, _WRSM_PLANT, _im_ekf_config,
+                                WrsmScenario, _WRSM_PLANT, _im_filters,
                                 _im_plant, _run_filter, _wrsm_plant,
                                 default_field_setpoint_profile,
                                 im_rates, im_rates_unscaled, run_im_scenario,
@@ -427,13 +427,10 @@ def im_bank(t_end, noise=1.0):
     """The IM scenario's [with-speed, sensorless] bank, inputs and noisy
     measurements on a short run."""
     isc = short_im_scenario(t_end)
-    machine = InductionMachine(isc.params)
     rows = np.concatenate(list(_im_plant(isc)))
     X, V = rows[:, 1:7], rows[:, 7:9]
     y_i = X[:, :2] + RNG.normal(0.0, noise * isc.params.L_sigma, (len(X), 2))
-    insts = [make_ekf(machine, _im_ekf_config(isc, machine, speed_measured),
-                      speed_measured=speed_measured)
-             for speed_measured in (True, False)]
+    insts, _ = _im_filters(isc)
     return insts, V, [np.column_stack([y_i, X[:, 4]]), y_i]
 
 
@@ -542,10 +539,7 @@ def test_streamed_scenarios_match_in_process_runs_bit_for_bit():
                            ("v_sb", 8, 1.0), ("omega_s_cmd", 9, 1.0),
                            ("omega_s", 10, 1.0)):
         assert np.array_equal(trace[name], rows[:, j] / scale), name
-    machine = InductionMachine(p)
-    insts = [make_ekf(machine, _im_ekf_config(isc, machine, speed_measured),
-                      speed_measured=speed_measured)
-             for speed_measured in (True, False)]
+    insts, _ = _im_filters(isc)
     y_i = rows[:, 1:3] + np.random.default_rng(5).normal(
         0.0, p.L_sigma, (len(rows), 2))
     est, innov, _ = _run_filter(insts, len(rows), [
@@ -625,6 +619,51 @@ def test_worker_without_rows_or_error_raises_typed_error(monkeypatch):
     with pytest.raises(PlantWorkerError):
         run_im_scenario(short_im_scenario(0.01))
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# the pipeline shared by both scenario kinds
+
+# the columns that the filters fill, by name prefix
+FILTER_COLUMNS = ("ekf_", "spd_", "sl_", "innov_", "theta_err", "omega_err")
+
+
+def short_wrsm_scenario(t_end, **kw):
+    return WrsmScenario(
+        t_end=t_end,
+        speed_profile=SignalProfile((Segment.ramp(0.0, t_end, 0.0, 20.0),)),
+        i_f_profile=default_field_setpoint_profile(windows=((0.01, 0.02),)),
+        injection_windows=((0.01, 0.02),), **kw)
+
+
+@pytest.mark.parametrize("kind", ["wrsm", "im"])
+def test_run_without_filters_keeps_plant_and_channel_columns(kind):
+    if kind == "wrsm":
+        run, sc = run_wrsm_scenario, short_wrsm_scenario(0.03, noise_std=0.05,
+                                                         seed=3)
+    else:
+        run, sc = run_im_scenario, short_im_scenario(0.02)
+    filtered = run(sc)
+    bare = run(dataclasses.replace(sc, run_ekf=False))
+    assert bare.column_names == filtered.column_names
+    names = [n for n in filtered.column_names if n.startswith(FILTER_COLUMNS)]
+    assert len(names) == {"wrsm": 10, "im": 19}[kind]
+    for name in filtered.column_names:
+        if name in names:
+            assert np.all(np.isnan(bare[name])), name
+        else:
+            assert np.array_equal(bare[name], filtered[name],
+                                  equal_nan=True), name
+    assert filtered.meta["ekf_steps"] > 0
+    assert bare.meta["ekf_steps"] == 0
+
+
+def test_flag_window_longer_than_the_trace_is_the_running_max():
+    trace = run_wrsm_scenario(short_wrsm_scenario(0.03, run_ekf=False,
+                                                  flag_window=1e300))
+    running_max = np.maximum.accumulate(np.abs(trace["margin"]))
+    assert np.array_equal(trace["obs_violated"],
+                          (running_max < trace.meta["obs_threshold"]) * 1.0)
 
 
 # ---------------------------------------------------------------------------
