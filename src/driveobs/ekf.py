@@ -5,7 +5,10 @@ input at once: estimates ``(B, n)``, covariances ``(B, n, n)`` and 0/1
 measurement-selection matrices ``(B, m, n)``. The instance functions are the
 bank's B = 1 case; values in, values out, each step returns a new instance.
 Prediction uses an explicit first-order discretization of the dynamics and
-of the state Jacobian; the covariance update uses the Joseph form.
+of the state Jacobian; the covariance update uses the Joseph form. The
+innovation covariance is factored and solved with the LAPACK gufuncs behind
+``np.linalg.cholesky`` and ``np.linalg.solve``, called directly: the same
+bits, without the wrappers' per-call argument checks and error-state setup.
 
 ``predict`` and ``update`` are check-free arithmetic: their callers check
 for overflow (``check_overflow``) and symmetrize the Joseph-form product
@@ -20,6 +23,10 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+
+# the gufuncs that np.linalg.cholesky and np.linalg.solve wrap (numpy >= 1.24)
+_cholesky, _solve = _umath_linalg.cholesky_lo, _umath_linalg.solve
 
 REL_STEP = 1e-6  # relative step of the Jacobian's central differences
 
@@ -103,16 +110,17 @@ def linearize(f, x, u):
     """
     Rate ``f(x, u)`` and its state Jacobian by central differences, for one
     state ``(n,)`` or a bank ``(B, n)`` sharing ``u``, from one call of ``f``
-    on the columns ``x + h·[0, I, −I]``, ``h_i = REL_STEP * max(1, |x_i|)``.
+    on the columns ``x + h·[0, I, −I]``, ``h_i = REL_STEP * max(1, |x_i|)``;
+    both are views into that call's result.
     """
     X = x.reshape(-1, x.shape[-1])
     B, n = X.shape
     h = REL_STEP * np.maximum(1.0, np.abs(X))
     cols = X.T[:, :, None] + h.T[:, :, None] * _eye_and_stencil(n)[1]
-    F = np.asarray(f(cols.reshape(n, -1), u), float).reshape(n, B, -1)
-    A = (F[:, :, 1:n + 1] - F[:, :, n + 1:]) / (2.0 * h[None])
-    return F[:, :, 0].T.reshape(x.shape), A.swapaxes(0, 1).reshape(
-        x.shape + (n,))
+    F = f(cols.reshape(n, -1), u).reshape(n, B, -1)
+    rate = F[:, :, 0].T
+    A = ((F[:, :, 1:n + 1] - F[:, :, n + 1:]) / (2.0 * h)).swapaxes(0, 1)
+    return (rate, A) if x.ndim == 2 else (rate[0], A[0])
 
 
 @lru_cache(maxsize=None)
@@ -174,15 +182,13 @@ def update(X, P, Y, C, R):
     innovation = Y - (C @ X[:, :, None])[:, :, 0]
     PCt = P @ C.swapaxes(1, 2)
     S = C @ PCt + R
-    try:
-        # some LAPACKs return a NaN factor of a NaN matrix without raising
-        ok = np.isfinite(np.linalg.cholesky(S)).all()
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
+    # a failed factor reads NaN; some LAPACKs factor a NaN matrix into NaN
+    with np.errstate(invalid="ignore"):
+        L = _cholesky(S)
+    if not np.isfinite(L).all():
         raise SingularInnovationError(
             "innovation covariance not positive definite")
-    K = np.linalg.solve(S, PCt.swapaxes(1, 2)).swapaxes(1, 2)
+    K = _solve(S, PCt.swapaxes(1, 2)).swapaxes(1, 2)
     IKC = _eye_and_stencil(X.shape[1])[0] - K @ C
     P = IKC @ P @ IKC.swapaxes(1, 2) + K @ R @ K.swapaxes(1, 2)
     return X + (K @ innovation[:, :, None])[:, :, 0], P, innovation

@@ -338,11 +338,13 @@ def _run_filter(insts, n: int, blocks):
     member's health ``(steps, max |P - P^T|, min eigenvalue ratio)``.
     Overflow is checked after every step; the asymmetry of the Joseph-form
     covariance before its symmetrization and the eigenvalue ratio of the
-    symmetrized one are sampled every 100 steps.
+    symmetrized one are sampled every 100 steps; the start values are
+    checked before the first predict.
     """
     f, cfg = insts[0].machine.f, insts[0].config
     Ts, bound = cfg.Ts, cfg.overflow
     X, P, Q, C, R = bank(insts)
+    check_overflow(X, P, bound)    # a start past the bound overflows f
     B, m = C.shape[:2]
     est = np.empty((n,) + X.shape)
     innov = np.full((n, B, m), math.nan)

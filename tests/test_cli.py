@@ -552,39 +552,61 @@ def test_sweep_rejects_malformed_values(tmp_path, capsys, kind, sweep):
     assert_one_line_error(capsys)
 
 
-@pytest.mark.parametrize("command, where, key, value", [
-    ("check", "params", "R_s", "0.1"),
-    ("check", "params", "R_s", True),
-    ("check", "params", "p", 2.5),
-    ("check", "check", "omega", "x"),
-    ("simulate", "params", "L_f", None),
-    ("simulate", "scenario", "noise_std", "x"),
-    ("simulate", "scenario", "t_end", False),
-    ("simulate", "scenario", "seed", 1.5),
-    ("simulate", "scenario", "seed", "7"),
-    ("simulate", "scenario", "seed", -1),
-    ("simulate", "scenario", "run_ekf", "false"),
-    ("simulate", "scenario", "run_ekf", 0),
-    ("check", "params", "J", float("nan")),
-    ("simulate", "scenario", "noise_std", float("nan")),
-    ("simulate", "scenario", "t_end", float("inf")),
-    ("simulate", "scenario", "obs_threshold", float("nan")),
-    ("simulate", "scenario", "obs_threshold", 0.0),
-    ("simulate", "scenario", "obs_threshold", -1.0),
-    ("simulate", "scenario", "flag_window", -1.0),
+WRONGLY_TYPED = [
+    ("check", "spmsm", "params", "R_s", "0.1"),
+    ("check", "spmsm", "params", "R_s", True),
+    ("check", "spmsm", "params", "p", 2.5),
+    ("check", "spmsm", "check", "omega", "x"),
+    ("simulate", "wrsm", "params", "L_f", None),
+    ("simulate", "wrsm", "scenario", "noise_std", "x"),
+    ("simulate", "wrsm", "scenario", "t_end", False),
+    ("simulate", "wrsm", "scenario", "seed", 1.5),
+    ("simulate", "wrsm", "scenario", "seed", "7"),
+    ("simulate", "wrsm", "scenario", "seed", -1),
+    ("simulate", "wrsm", "scenario", "run_ekf", "false"),
+    ("simulate", "wrsm", "scenario", "run_ekf", 0),
+    ("check", "spmsm", "params", "J", float("nan")),
+    ("simulate", "wrsm", "scenario", "noise_std", float("nan")),
+    ("simulate", "wrsm", "scenario", "t_end", float("inf")),
+    ("simulate", "wrsm", "scenario", "obs_threshold", float("nan")),
+    ("simulate", "wrsm", "scenario", "obs_threshold", 0.0),
+    ("simulate", "wrsm", "scenario", "obs_threshold", -1.0),
+    ("simulate", "wrsm", "scenario", "flag_window", -1.0),
     # -dt_sim divides by 0 in the vector-angle rate filter
-    ("simulate", "scenario", "omega_o_filter_tau", -1e-5),
-])
+    ("simulate", "wrsm", "scenario", "omega_o_filter_tau", -1e-5),
+    # keys of the IM scenario alone
+    ("simulate", "im", "params", "R_r", "0.5"),
+    ("simulate", "im", "scenario", "omega_rated", "62.8"),
+    ("simulate", "im", "scenario", "omega_rated", True),
+    ("simulate", "im", "scenario", "omega_rated", -1.0),
+    ("simulate", "im", "scenario", "omega_s_filter_tau", None),
+    ("simulate", "im", "scenario", "omega_s_filter_tau", float("nan")),
+    ("simulate", "im", "scenario", "ekf_r_speed", "0.25"),
+    ("simulate", "im", "scenario", "ekf_r_speed", float("inf")),
+    ("simulate", "im", "scenario", "ekf_r_speed", 0.0),
+    ("simulate", "im", "scenario", "dwell", "3"),
+    ("simulate", "im", "scenario", "dwell", [3.0, "5"]),
+    ("simulate", "im", "scenario", "dwell", [3.0, None]),
+]
+
+
+# a row on the SPMSM (check) or the WRSM (simulate) leaves its kind out of
+# the test name
+@pytest.mark.parametrize("command, kind, where, key, value", WRONGLY_TYPED,
+                         ids=["-".join(map(str, row if row[1] == "im"
+                                           else row[:1] + row[2:]))
+                              for row in WRONGLY_TYPED])
 def test_wrongly_typed_values_exit_2(tmp_path, capsys, monkeypatch, command,
-                                     where, key, value):
+                                     kind, where, key, value):
     def no_run(scenario):
         raise AssertionError("the scenario ran")
 
     monkeypatch.setattr(cli, "run_wrsm_scenario", no_run)
+    monkeypatch.setattr(cli, "run_im_scenario", no_run)
     if command == "check":
-        cfg = sm_check_cfg(100.0)
+        cfg = sm_check_cfg(100.0, kind)
     else:
-        cfg = short_wrsm_cfg()
+        cfg = short_wrsm_cfg() if kind == "wrsm" else short_im_cfg()
     block = cfg["machine"].setdefault("params", {}) if where == "params" \
         else cfg[where]
     block[key] = value
@@ -618,6 +640,10 @@ def test_wrongly_typed_values_exit_2(tmp_path, capsys, monkeypatch, command,
      "omega_s_filter_tau", 2),
     # a flag window longer than the trace is the running maximum
     ("simulate", "wrsm", {"scenario": {"flag_window": 1e300}}, None, 0),
+    # a start estimate past the overflow bound is checked before the first
+    # predict, whose rates would overflow
+    ("simulate", "im", {"scenario": {"x0_est_phys": [0, 0, 0, 0, 1e300, 0]}},
+     "filter diverged", 3),
 ])
 def test_extreme_values_exit_without_traceback(tmp_path, capsys, command,
                                                kind, where, value, code):

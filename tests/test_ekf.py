@@ -1,5 +1,7 @@
 """Extended Kalman filter: recursion contracts, invariants, failure modes."""
 
+import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from driveobs.ekf import (EkfConfig, EkfDivergenceError,
                           SingularInnovationError, ekf_predict, ekf_update,
-                          linearize, make_ekf)
+                          linearize, make_ekf, update)
 from driveobs.machines import SynchronousMachine, make_machine
 from driveobs.params import SPMSM_DEFAULT
 from driveobs.rk4 import rk4_step
@@ -169,6 +171,51 @@ def test_update_nan_covariance_is_singular_innovation():
     inst = replace(still_ekf(n=2), P=np.full((2, 2), np.nan))
     with pytest.raises(SingularInnovationError):
         ekf_update(inst, np.zeros(2))
+
+
+def linalg_update(X, P, Y, C, R):
+    """``update`` written with ``np.linalg.cholesky`` and ``np.linalg.solve``,
+    whose LAPACK gufuncs it calls directly."""
+    innovation = Y - (C @ X[:, :, None])[:, :, 0]
+    PCt = P @ C.swapaxes(1, 2)
+    S = C @ PCt + R
+    np.linalg.cholesky(S)
+    K = np.linalg.solve(S, PCt.swapaxes(1, 2)).swapaxes(1, 2)
+    IKC = np.eye(X.shape[1]) - K @ C
+    P = IKC @ P @ IKC.swapaxes(1, 2) + K @ R @ K.swapaxes(1, 2)
+    return X + (K @ innovation[:, :, None])[:, :, 0], P, innovation
+
+
+def random_bank(B, m, n=5):
+    """Estimates, SPD covariances, measurements, 0/1 selections of ``m`` of
+    ``n`` states and SPD measurement covariances of a bank of ``B``."""
+    G = RNG.normal(0, 1, (B, n, n))
+    H = RNG.normal(0, 1, (B, m, m))
+    C = np.zeros((B, m, n))
+    for b in range(B):
+        C[b, np.arange(m), RNG.permutation(n)[:m]] = 1.0
+    return (RNG.normal(0, 1, (B, n)), G @ G.swapaxes(1, 2) + np.eye(n),
+            RNG.normal(0, 1, (B, m)), C, H @ H.swapaxes(1, 2) + np.eye(m))
+
+
+@pytest.mark.parametrize("B, m", itertools.product((1, 2, 3), (1, 2, 3)))
+def test_update_gufuncs_match_np_linalg_bit_for_bit(B, m):
+    """A numpy whose private LAPACK gufuncs moved or changed fails here."""
+    for _ in range(5):
+        args = random_bank(B, m)
+        for a, b in zip(update(*args), linalg_update(*args)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("R_diag", [(-5.0, 1.0), (np.nan, 1.0),
+                                    (np.inf, 1.0)],
+                         ids=["indefinite", "nan", "inf"])
+def test_failed_factor_is_singular_innovation_without_warning(R_diag):
+    X, P, Y, C, _ = random_bank(2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularInnovationError):
+            update(X, P, Y, C, np.tile(np.diag(R_diag), (2, 1, 1)))
 
 
 def test_update_matches_output_matrix_form():
