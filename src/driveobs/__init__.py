@@ -11,8 +11,7 @@ from .params import (BrushlessSmParams, DcmParams, ImParams, WrsmParams,
                      SYRM_DEFAULT, WRSM_DEFAULT, params_from_dict,
                      params_to_dict)
 from .machines import (DcMachine, InductionMachine, SingularInductanceError,
-                       SynchronousMachine, dq_derivative, make_machine, park,
-                       wrap_angle)
+                       SynchronousMachine, make_machine, park, wrap_angle)
 from .lie import (DimensionMismatchError, ObsMatrixResult,
                   machine_observability_matrix, numeric_observability_matrix)
 from .observability import (DegenerateFluxError, ObservabilityReport,
@@ -20,8 +19,8 @@ from .observability import (DegenerateFluxError, ObservabilityReport,
                             flux_angular_velocity, im_condition,
                             im_determinant, im_steady_determinant,
                             observability_report, slip_frequency,
-                            sm_condition_ratio, sm_determinant,
-                            sm_observability_vector)
+                            sm_channels, sm_condition_ratio,
+                            sm_determinant, sm_observability_vector)
 from .ekf import (EkfConfig, EkfDivergenceError, EkfInstance,
                   SingularInnovationError, ekf_predict, ekf_update, make_ekf)
 from .rk4 import rk4_integrate, rk4_step

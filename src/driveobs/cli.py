@@ -79,7 +79,8 @@ def cmd_simulate(args) -> int:
             trace = run_im_scenario(scenario)
     except (EkfDivergenceError, SingularInnovationError,
             SingularInductanceError, ProfileDomainError, PlantWorkerError,
-            ArithmeticError) as exc:    # overflow at extreme parameters
+            ArithmeticError,    # overflow at extreme parameters
+            MemoryError) as exc:    # a trace table too large to allocate
         _err(f"simulation failed: {exc}")
         return EXIT_SIM
 

@@ -157,6 +157,9 @@ def validate_config(cfg: dict):
                 or decimate < 1:
             raise ConfigError("output.decimate must be at least 1 and an "
                               f"integer, got {decimate!r}")
+        if not isinstance(cfg["output"].get("plot_script", True), bool):
+            raise ConfigError("output.plot_script must be true or false, "
+                              f"got {cfg['output']['plot_script']!r}")
     for block, validator in (("scenario", _validate_scenario),
                              ("check", _validate_check),
                              ("sweep", _validate_sweep)):
@@ -195,8 +198,8 @@ def _validate_scenario(cfg, block):
 def _validate_check(cfg, block):
     kind = cfg["machine"]["kind"]
     if kind in SM_KINDS:
-        allowed = ("omega", "i_d", "i_q", "i_f", "di_d", "di_q", "di_f",
-                   "threshold")
+        allowed = ("omega", "i_d", "i_q", "di_d", "di_q", "threshold") + (
+            ("i_f", "di_f") if DEFAULT_PARAMS[kind].has_field else ())
     elif kind == "im":
         allowed = ("mode", "omega_e", "T_m", "psi_rd", "threshold")
     else:
@@ -218,8 +221,9 @@ def _validate_sweep(cfg, block):
                       required=("omega_e", "T_m"))
         axes = ("omega_e", "T_m")
     elif kind in SM_KINDS:
-        _require_keys(block, ("i_d", "i_q", "omega", "i_f"), "sweep",
-                      required=("i_d", "i_q"))
+        _require_keys(block, ("i_d", "i_q", "omega") + (
+            ("i_f",) if DEFAULT_PARAMS[kind].has_field else ()), "sweep",
+            required=("i_d", "i_q"))
         axes = ("i_d", "i_q")
     else:
         raise ConfigError("sweep supports SM and IM machines only")

@@ -45,17 +45,6 @@ def park(xy, theta: float, direction: str = "to_dq") -> np.ndarray:
     raise ValueError(f"direction must be 'to_dq' or 'to_ab', got {direction!r}")
 
 
-def dq_derivative(d_ab, i_dq, omega: float, theta: float) -> np.ndarray:
-    """
-    Total time derivative of the dq current vector.
-
-    Combines the rotated stationary-frame derivative with the frame-rotation
-    term: d(i_dq)/dt = R(-theta)*d(i_ab)/dt - omega*J2*i_dq.
-    """
-    rot = park(d_ab, theta, "to_dq")
-    return rot - omega * (J2 @ np.asarray(i_dq, float))
-
-
 # ---------------------------------------------------------------------------
 # rate kernels: plain arithmetic, with the same bits on floats or numpy rows
 

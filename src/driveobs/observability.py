@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .lie import machine_observability_matrix
-from .machines import (J2, DcMachine, InductionMachine, SynchronousMachine,
-                       dq_derivative, park)
+from .machines import J2, DcMachine, InductionMachine, SynchronousMachine, park
 from .params import DcmParams, ImParams
 
 #: |margin| (rad/s) below which observability is declared "not guaranteed".
@@ -65,7 +64,7 @@ def sm_determinant(params, omega: float, i_sd: float, i_sq: float,
     Closed-form determinant of the SM observability matrix.
 
     Operating-point current derivatives are *total* rotor-frame derivatives
-    (see ``dq_derivative``); pass zeros for a steady state. The field
+    (see ``sm_channels``); pass zeros for a steady state. The field
     coupling is 0 for brushless machines, so one expression covers every
     kind.
     """
@@ -92,6 +91,28 @@ def sm_condition_ratio(params, i_sd, i_sq, i_f=None) -> float:
     num = psi_od**2 + L_oq * L_oq * i_sq**2
     den = psi_od**2 + L_oq * LD * i_sq**2
     return num / np.where(den == 0.0, math.nan, den)   # NaN where den == 0
+
+
+def sm_channels(machine: SynchronousMachine, x, xdot):
+    """
+    Closed-form channels ``(psi_od, psi_oq, omega_o, ratio, det)`` of a
+    synchronous machine at a state ``x``, one (n,) point, (n, N) columns or
+    a tuple of columns, with the current rates ``xdot``: the observability
+    vector, its angular velocity, ``sm_condition_ratio`` and
+    ``sm_determinant``. The dq current rates add the frame's rotation,
+    d(i_dq)/dt = R(-theta) d(i_ab)/dt - omega J2 i_dq.
+    """
+    k, p = machine.n_currents, machine.params
+    omega, c, s = x[k], np.cos(x[k + 1]), np.sin(x[k + 1])
+    i_d, i_q = c * x[0] + s * x[1], -s * x[0] + c * x[1]
+    di_d = (c * xdot[0] + s * xdot[1]) + omega * i_q
+    di_q = (-s * xdot[0] + c * xdot[1]) - omega * i_d
+    i_f, di_f = (x[2], xdot[2]) if machine.has_field else (None, 0.0)
+    currents = (i_d, i_q, i_f, di_d, di_q, di_f)
+    psi = sm_observability_vector(p, *currents)
+    return (*psi[:2], flux_angular_velocity(psi[:2], psi[2:]),
+            sm_condition_ratio(p, i_d, i_q, i_f),
+            sm_determinant(p, omega, *currents))
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +296,14 @@ def observability_report(machine, x, u, u_dot=None,
     The operating-point derivatives entering the closed forms come from the
     machine dynamics at (x, u).
     """
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
+    x, u = np.asarray(x, float), np.asarray(u, float)
     xdot = machine.f(x, u)
     psi_od = psi_oq = math.nan
 
     if isinstance(machine, SynchronousMachine):
-        k = machine.n_currents
-        omega, theta = x[k], x[k + 1]
-        i_dq = park(x[:2], theta, "to_dq")
-        di_dq = dq_derivative(xdot[:2], i_dq, omega, theta)
-        i_f = x[2] if machine.has_field else None
-        di_f = xdot[2] if machine.has_field else 0.0
-        currents = (i_dq[0], i_dq[1], i_f, di_dq[0], di_dq[1], di_f)
-        psi_od, psi_oq, dd, dq = sm_observability_vector(machine.params,
-                                                         *currents)
-        det = sm_determinant(machine.params, omega, *currents)
+        psi_od, psi_oq, omega_o, ratio, det = sm_channels(machine, x, xdot)
         # the distance to the determinant's zero set omega = ratio * omega_o
-        margin = omega - sm_condition_ratio(machine.params, *currents[:3]) \
-            * flux_angular_velocity((psi_od, psi_oq), (dd, dq))
+        margin = x[machine.n_currents] - ratio * omega_o
         guaranteed = abs(margin) >= threshold
     elif isinstance(machine, InductionMachine):
         mode = "with_speed" if speed_measured else "sensorless"

@@ -24,8 +24,7 @@ from .ekf import (EkfConfig, SingularInnovationError, bank, check_overflow,
 from .machines import (InductionMachine, SynchronousMachine, im_rates,
                        im_rates_unscaled, park, wrap_angle)
 from .observability import (OBS_THRESHOLD_DEFAULT, im_condition,
-                            im_determinant, sm_condition_ratio,
-                            sm_determinant, slip_frequency)
+                            im_determinant, sm_channels, slip_frequency)
 from .params import ImParams, WrsmParams, IM_DEFAULT, WRSM_DEFAULT
 from .profiles import PiController, Segment, SignalProfile
 from .trace import SimTrace, finite_max, finite_min, rolling_abs_max
@@ -58,9 +57,11 @@ def _check_scenario(sc, positive: tuple, tau: str):
         if not 0.0 < np.min(value) <= np.max(value) < math.inf:   # NaN too
             raise ValueError(f"{name} must be finite and above 0, got "
                              f"{value!r}")
-    if not getattr(sc, tau) >= 0:    # -dt_sim divides by 0
-        raise ValueError(f"{tau} must be at least 0, got "
-                         f"{getattr(sc, tau)!r}")
+    # tau = -dt_sim divides by 0; a negative noise_std would add no noise
+    for name in (tau, "noise_std"):
+        if not getattr(sc, name) >= 0:
+            raise ValueError(f"{name} must be at least 0, got "
+                             f"{getattr(sc, name)!r}")
     if sc.seed is not None and sc.seed < 0:    # numpy seeds are unsigned
         raise ValueError(f"seed must be at least 0, got {sc.seed!r}")
     for name, prof in vars(sc).items():
@@ -532,28 +533,23 @@ def _wrsm_finish(sc: WrsmScenario, cols: dict, est, innov):
     """The WRSM trace: the plant's columns with ``theta`` wrapped, the
     closed-form channels and the filter's estimates, errors and
     innovations."""
-    p = sc.params
     theta = cols["theta"]
     cols["theta"] = wrap_angle(theta)
 
-    c1, s1 = np.cos(theta), np.sin(theta)
-    w, i_d, i_q, i_f = cols["omega"], cols["i_sd"], cols["i_sq"], cols["i_f"]
-    dia, dib, dif = SynchronousMachine(p).rates(
-        cols["i_sa"], cols["i_sb"], i_f, w, c1, s1, cols["v_sa"],
-        cols["v_sb"], cols["v_f"])
-    did = (c1 * dia + s1 * dib) + w * i_q
-    diq = (-s1 * dia + c1 * dib) - w * i_d
-    ratio = sm_condition_ratio(p, i_d, i_q, i_f)
+    machine = SynchronousMachine(sc.params)
+    x = (cols["i_sa"], cols["i_sb"], cols["i_f"], cols["omega"], theta)
+    xdot = machine.rates(*x[:4], np.cos(theta), np.sin(theta), cols["v_sa"],
+                         cols["v_sb"], cols["v_f"])
+    *_, ratio, det = sm_channels(machine, x, xdot)
     # the distance to the determinant's zero set omega = ratio * omega_o, in
     # the column after omega_o; a zero observability vector (NaN ratio)
     # reads 0, not guaranteed
     cols["margin"] = np.where(np.isnan(ratio), 0.0,
-                              w - ratio * cols["omega_o"])
+                              cols["omega"] - ratio * cols["omega_o"])
 
     est, innov = est[:, 0], innov[:, 0]
     cols.update({
-        "det_sm": sm_determinant(p, w, i_d, i_q, i_f, did, diq, dif),
-        "ratio": ratio,
+        "det_sm": det, "ratio": ratio,
         "ekf_theta": wrap_angle(est[:, 4]), "ekf_omega": est[:, 3],
         "ekf_i_sa": est[:, 0], "ekf_i_sb": est[:, 1], "ekf_i_f": est[:, 2],
         "theta_err": wrap_angle(est[:, 4] - theta),

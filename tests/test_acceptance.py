@@ -13,9 +13,9 @@ import pytest
 
 from driveobs.lie import machine_observability_matrix
 from driveobs.machines import (InductionMachine, SynchronousMachine,
-                               dq_derivative, make_machine, park)
+                               make_machine, park)
 from driveobs.observability import (dcm_determinant, im_determinant,
-                                    sm_determinant)
+                                    sm_channels, sm_determinant)
 from driveobs.params import (IM_DEFAULT, IPMSM_DEFAULT, SPMSM_DEFAULT,
                              SYRM_DEFAULT, WRSM_DEFAULT)
 from driveobs.scenarios import (ImScenario, WrsmScenario, run_im_scenario,
@@ -33,16 +33,7 @@ def report(number: int, parts: dict, detail: str = ""):
 
 
 def sm_closed_form(machine, x, u):
-    params = machine.params
-    k = machine.n_currents
-    xd = machine.f(x, u)
-    w, th = x[k], x[k + 1]
-    idq = park(x[:2], th, "to_dq")
-    didq = dq_derivative(xd[:2], idq, w, th)
-    i_f = x[2] if machine.has_field else None
-    di_f = xd[2] if machine.has_field else 0.0
-    return sm_determinant(params, w, idq[0], idq[1], i_f,
-                          didq[0], didq[1], di_f)
+    return sm_channels(machine, x, machine.f(x, u))[-1]
 
 
 def random_point(kind, machine, rng=RNG):

@@ -15,7 +15,8 @@ from driveobs.config import CONFIG_SCHEMA, bundled_config_path
 from driveobs.lie import SV_RANK_RTOL, machine_observability_matrix
 from driveobs.machines import make_machine
 from driveobs.observability import observability_report
-from driveobs.params import IM_DEFAULT, MACHINE_KINDS, params_from_dict
+from driveobs.params import (DEFAULT_PARAMS, IM_DEFAULT, MACHINE_KINDS,
+                             SM_KINDS, params_from_dict)
 from driveobs.profiles import ProfileDomainError
 from driveobs.trace import CSV_ROWS, SimTrace, write_rows
 
@@ -257,6 +258,20 @@ def check_stage_timings(summary):
 
 def failing_plant_rates(params):
     raise ProfileDomainError("t = 9 outside profile domain [0, 8.5]")
+
+
+def test_simulate_unallocatable_trace_exit_3(tmp_path, capsys):
+    # 1e14 rows of 19 columns exceed the address space, so the table's
+    # allocation fails at once, before the plant worker starts
+    cfg = {"schema": CONFIG_SCHEMA, "machine": {"kind": "wrsm"},
+           "scenario": {"type": "wrsm", "t_end": 1.0, "dt_sim": 1e-14,
+                        "trace_dt": 1e-14}}
+    rc = main(["simulate", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "simulation failed: Unable to allocate" in \
+        assert_one_line_error(capsys)
+    assert multiprocessing.active_children() == []
 
 
 def test_simulate_plant_error_in_worker_exit_3(tmp_path, capsys,
@@ -574,6 +589,10 @@ WRONGLY_TYPED = [
     ("simulate", "wrsm", "scenario", "flag_window", -1.0),
     # -dt_sim divides by 0 in the vector-angle rate filter
     ("simulate", "wrsm", "scenario", "omega_o_filter_tau", -1e-5),
+    # a negative noise level would run without noise
+    ("simulate", "wrsm", "scenario", "noise_std", -1.0),
+    ("simulate", "wrsm", "output", "plot_script", "false"),
+    ("simulate", "wrsm", "output", "plot_script", 1),
     # keys of the IM scenario alone
     ("simulate", "im", "params", "R_r", "0.5"),
     ("simulate", "im", "scenario", "omega_rated", "62.8"),
@@ -587,6 +606,7 @@ WRONGLY_TYPED = [
     ("simulate", "im", "scenario", "dwell", "3"),
     ("simulate", "im", "scenario", "dwell", [3.0, "5"]),
     ("simulate", "im", "scenario", "dwell", [3.0, None]),
+    ("simulate", "im", "scenario", "noise_std", -1.0),
 ]
 
 
@@ -814,6 +834,33 @@ def test_contradicting_params_kind_exit_2(tmp_path, capsys, kind, value):
                                "check": {}})
     assert main(["check", "--config", cfg]) == 2
     assert "kind" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("kind", SM_KINDS)
+def test_field_keys_only_on_field_machines(tmp_path, capsys, kind):
+    """``i_f`` and ``di_f`` need a field winding; ``check`` and ``sweep``
+    reject them on the brushless machines rather than ignore them."""
+    field = DEFAULT_PARAMS[kind].has_field
+    axis = {"min": -1.0, "max": 1.0, "n": 3}
+    for command, block, keys in (
+            ("check", {"omega": 100.0, "i_f": 5.0, "di_f": 3.0},
+             "['di_f', 'i_f']"),
+            ("sweep", {"i_d": axis, "i_q": axis, "i_f": 5.0}, "['i_f']")):
+        cfg = write_cfg(tmp_path, {"schema": CONFIG_SCHEMA,
+                                   "machine": {"kind": kind},
+                                   command: block})
+        argv = [command, "--config", cfg]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / kind)]
+        rc = main(argv)
+        if field:
+            assert rc in (0, 4)
+            assert capsys.readouterr().err == ""
+        else:
+            assert rc == 2
+            assert f"unknown keys in {command}: {keys}" in \
+                assert_one_line_error(capsys)
+    assert (tmp_path / kind / "sweep.csv").exists() == field
 
 
 @pytest.mark.parametrize("kind", MACHINE_KINDS)

@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 
 from driveobs.ekf import linearize
-from driveobs.machines import (InductionMachine, SingularInductanceError,
-                               SynchronousMachine, dq_derivative,
-                               im_rates_unscaled, make_machine, park,
-                               wrap_angle)
+from driveobs.machines import (J2, InductionMachine, SingularInductanceError,
+                               SynchronousMachine, im_rates_unscaled,
+                               make_machine, park, wrap_angle)
 from driveobs.params import (BrushlessSmParams, WrsmParams, HESM_DEFAULT,
                              IM_DEFAULT, IPMSM_DEFAULT, MACHINE_KINDS,
                              PM_DCM_DEFAULT, SERIES_DCM_DEFAULT, WRSM_DEFAULT)
 from test_scenarios import sm_reference
 
 RNG = np.random.default_rng(2024)
+
+
+def dq_derivative(d_ab, i_dq, omega, theta):
+    """Total time derivative of the dq current vector: the rotated
+    stationary-frame derivative less the frame's rotation,
+    d(i_dq)/dt = R(-theta) d(i_ab)/dt - omega J2 i_dq."""
+    return park(d_ab, theta, "to_dq") - omega * (J2 @ np.asarray(i_dq))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,14 @@ import pytest
 
 from driveobs.lie import machine_observability_matrix
 from driveobs.machines import (J2, InductionMachine, SynchronousMachine,
-                               dq_derivative, make_machine, park)
+                               make_machine, park)
 from driveobs.observability import (DegenerateFluxError, dcm_determinant,
                                     flux_angular_velocity, im_condition,
                                     im_determinant, im_steady_determinant,
                                     im_steady_operating_point,
                                     observability_report, slip_frequency,
-                                    sm_condition_ratio, sm_determinant,
-                                    sm_observability_vector,
+                                    sm_channels, sm_condition_ratio,
+                                    sm_determinant, sm_observability_vector,
                                     sm_operating_point)
 from driveobs.params import (BrushlessSmParams, HESM_DEFAULT, IM_DEFAULT,
                              IPMSM_DEFAULT, PM_DCM_DEFAULT,
@@ -57,16 +57,7 @@ def random_sm_point(machine):
 
 def closed_form_at(machine, x, u):
     """Closed-form determinant evaluated at a dynamic operating point."""
-    params = machine.params
-    k = machine.n_currents
-    xd = machine.f(x, u)
-    w, th = x[k], x[k + 1]
-    idq = park(x[:2], th, "to_dq")
-    didq = dq_derivative(xd[:2], idq, w, th)
-    i_f = x[2] if machine.has_field else None
-    di_f = xd[2] if machine.has_field else 0.0
-    return sm_determinant(params, w, idq[0], idq[1], i_f,
-                          didq[0], didq[1], di_f)
+    return sm_channels(machine, x, machine.f(x, u))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +157,11 @@ def test_margin_determinant_equivalence():
     p = WRSM_DEFAULT
     for _ in range(30):
         x, u = random_sm_point(machine)
-        xd = machine.f(x, u)
-        w, th = x[3], x[4]
-        idq = park(x[:2], th, "to_dq")
-        didq = dq_derivative(xd[:2], idq, w, th)
-        det = sm_determinant(p, w, idq[0], idq[1], x[2], didq[0], didq[1], xd[2])
-        omega_o = sm_omega_o(p, idq[0], idq[1], x[2], didq[0], didq[1], xd[2])
-        ratio = sm_condition_ratio(p, idq[0], idq[1], x[2])
-        psi_od = sm_observability_vector(p, idq[0], idq[1], x[2])[0]
+        psi_od, _, omega_o, ratio, det = sm_channels(machine, x,
+                                                     machine.f(x, u))
+        w, i_q = x[3], park(x[:2], x[4], "to_dq")[1]
         fc = p.field_coupling
-        D = (psi_od**2 + (p.L_delta - fc) * p.L_delta * idq[1]**2) \
+        D = (psi_od**2 + (p.L_delta - fc) * p.L_delta * i_q**2) \
             / ((p.L_d - fc) * p.L_q)
         assert det == pytest.approx(D * (w - ratio * omega_o), rel=1e-9)
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from driveobs.observability import (im_condition, im_determinant,
-                                    slip_frequency, sm_condition_ratio,
+                                    observability_report, slip_frequency,
+                                    sm_channels, sm_condition_ratio,
                                     sm_determinant)
 from driveobs.profiles import Segment, SignalProfile
 from driveobs.ekf import (EkfConfig, EkfDivergenceError,
@@ -747,13 +748,18 @@ def assert_channel(trace, name, expected, rows, rtol):
     assert np.all(np.abs(col[ok] - expected[ok]) <= rtol * scale), name
 
 
-def test_wrsm_channels_match_point_closed_forms():
-    t_end = 0.3
-    sc = WrsmScenario(
-        t_end=t_end, run_ekf=False,
-        speed_profile=SignalProfile((Segment.ramp(0.0, t_end, 0.0, 50.0),)),
+def ramp_wrsm_scenario():
+    """A short WRSM run without the filter: the speed ramps from 0 to
+    50 rad/s over 0.3 s, with one injection window."""
+    return WrsmScenario(
+        t_end=0.3, run_ekf=False,
+        speed_profile=SignalProfile((Segment.ramp(0.0, 0.3, 0.0, 50.0),)),
         i_f_profile=default_field_setpoint_profile(windows=((0.1, 0.2),)),
         injection_windows=((0.1, 0.2),))
+
+
+def test_wrsm_channels_match_point_closed_forms():
+    sc = ramp_wrsm_scenario()
     trace = run_wrsm_scenario(sc)
     p, c = sc.params, trace.columns
     rates = SynchronousMachine(p).rates
@@ -775,14 +781,28 @@ def test_wrsm_channels_match_point_closed_forms():
     assert_channel(trace, "ratio", ratio, rows, 1e-14)
 
 
+def test_check_and_simulate_agree_at_trace_rows():
+    """``observability_report`` at a trace row's state and input, the path
+    of ``check``, gives that row's ``det_sm``, ``ratio`` and observability
+    vector to the bit."""
+    sc = ramp_wrsm_scenario()
+    trace = run_wrsm_scenario(sc)
+    machine, c = SynchronousMachine(sc.params), trace.columns
+    for k in sampled_rows(trace):
+        # the trace wraps theta; the plant's own angle is the profile's
+        x = [c[n][k] for n in ("i_sa", "i_sb", "i_f", "omega")] + [
+            sc.speed_profile.integral(c["t"][k])]
+        u = [c[n][k] for n in ("v_sa", "v_sb", "v_f")]
+        report = observability_report(machine, x, u)
+        ratio = sm_channels(machine, np.array(x), machine.f(x, u))[3]
+        assert report.determinant == c["det_sm"][k]
+        assert ratio == c["ratio"][k]
+        assert (report.psi_od, report.psi_oq) == (c["psi_od"][k],
+                                                  c["psi_oq"][k])
+
+
 def test_wrsm_margin_is_the_distance_to_the_determinant_zero_set():
-    t_end = 0.3
-    sc = WrsmScenario(
-        t_end=t_end, run_ekf=False,
-        speed_profile=SignalProfile((Segment.ramp(0.0, t_end, 0.0, 50.0),)),
-        i_f_profile=default_field_setpoint_profile(windows=((0.1, 0.2),)),
-        injection_windows=((0.1, 0.2),))
-    c = run_wrsm_scenario(sc).columns
+    c = run_wrsm_scenario(ramp_wrsm_scenario()).columns
     assert np.all(c["ratio"] < 1.0)    # the field winding takes its share
     assert np.array_equal(c["margin"], c["omega"] - c["ratio"] * c["omega_o"])
     # no current and no field: a zero observability vector, NaN ratio, and
