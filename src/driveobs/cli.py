@@ -25,7 +25,8 @@ from .observability import (DegenerateFluxError, OBS_THRESHOLD_DEFAULT,
                             slip_frequency, sm_determinant,
                             sm_operating_point)
 from .params import SM_KINDS, params_from_dict
-from .scenarios import PlantWorkerError, run_im_scenario, run_wrsm_scenario
+from .scenarios import (SPECS, PlantWorkerError, run_im_scenario,
+                        run_wrsm_scenario)
 from .summary import summarize
 from .trace import json_sanitize, write_rows, write_summary
 
@@ -84,32 +85,23 @@ def cmd_simulate(args) -> int:
         _err(f"simulation failed: {exc}")
         return EXIT_SIM
 
-    started = time.perf_counter()
-    trace.to_csv(out_dir / "trace.csv", decimate=decimate)
-    trace.meta["timings"]["csv"] = time.perf_counter() - started
-    write_summary(out_dir / "summary.json", summarize(trace))
-    if output.get("plot_script", True):
-        _write_plot_script(out_dir / "plot.gp", trace.meta["machine"])
+    try:
+        started = time.perf_counter()
+        trace.to_csv(out_dir / "trace.csv", decimate=decimate)
+        trace.meta["timings"]["csv"] = time.perf_counter() - started
+        write_summary(out_dir / "summary.json", summarize(trace))
+        if output.get("plot_script", True):
+            _write_plot_script(out_dir / "plot.gp", trace.meta["machine"])
+    except OSError as exc:    # a directory in a file's place, a full disk
+        _err(f"cannot write output: {exc}")
+        return EXIT_CONFIG
     print(f"trace: {out_dir / 'trace.csv'} ({len(trace.t[::decimate])} rows)")
     print(f"summary: {out_dir / 'summary.json'}")
     return EXIT_OK
 
 
 def _write_plot_script(path, machine_kind: str):
-    if machine_kind == "wrsm":
-        panels = [
-            ("position estimation error (rad)", ["theta_err"]),
-            ("observability-vector velocity and margin (rad/s)",
-             ["omega_o", "margin"]),
-            ("rank-condition determinant", ["det_sm"]),
-        ]
-    else:
-        panels = [
-            ("flux estimation error (relative)",
-             ["spd_flux_err", "sl_flux_err"]),
-            ("observability condition (rad/s)", ["im_cond"]),
-            ("speed (rad/s)", ["omega_e", "sl_omega_e"]),
-        ]
+    panels = SPECS[machine_kind].panels
     lines = [
         "# gnuplot script; run next to trace.csv",
         "set datafile separator ','",
@@ -222,9 +214,13 @@ def cmd_sweep(args) -> int:
     if not _make_dir(out_dir):
         return EXIT_CONFIG
     path = out_dir / "sweep.csv"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        write_rows(fh, rows)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(header + "\n")
+            write_rows(fh, rows)
+    except OSError as exc:
+        _err(f"cannot write output: {exc}")
+        return EXIT_CONFIG
     print(f"sweep: {path} ({len(rows)} cells)")
     return EXIT_OK
 

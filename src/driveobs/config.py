@@ -14,7 +14,7 @@ from importlib import resources
 from .params import (DEFAULT_PARAMS, MACHINE_KINDS, SM_KINDS,
                      params_from_dict, params_to_dict)
 from .profiles import Segment, SignalProfile
-from .scenarios import ImScenario, WrsmScenario
+from .scenarios import SPECS
 
 CONFIG_SCHEMA = "driveobs-config/1"
 
@@ -175,9 +175,9 @@ def _scenario_keys(cls) -> tuple:
 
 
 # the scenario class of each scenario type, which is also its machine kind
-_SCENARIOS = {"wrsm": WrsmScenario, "im": ImScenario}
-_SCENARIO_DEFAULTS = {}   # the defaults of each field in either scenario
-for _f in dataclasses.fields(WrsmScenario) + dataclasses.fields(ImScenario):
+_SCENARIOS = {kind: spec.scenario for kind, spec in SPECS.items()}
+_SCENARIO_DEFAULTS = {}   # the defaults of each field in any scenario
+for _f in (f for cls in _SCENARIOS.values() for f in dataclasses.fields(cls)):
     _SCENARIO_DEFAULTS.setdefault(_f.name, []).append(_f.default)
 
 

@@ -135,7 +135,8 @@ def _eye_and_stencil(n: int):
 
 def check_overflow(x, P, bound: float):
     # a NaN fails the comparison as well as an entry past the bound
-    if not (np.abs(x).max() <= bound and np.abs(P).max() <= bound):
+    if not (np.maximum.reduce(np.abs(x), None) <= bound
+            and np.maximum.reduce(np.abs(P), None) <= bound):
         raise EkfDivergenceError(
             "estimate or covariance exceeded the overflow bound "
             f"({bound:g}); filter diverged")

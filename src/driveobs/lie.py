@@ -9,7 +9,7 @@ the rest comes from central finite differences of ``f``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class ObsMatrixResult:
     """Numeric observability matrix with its rank diagnostics."""
 
     matrix: np.ndarray
-    determinant: Optional[float]
+    determinant: float
     rank: int
     condition_number: float
     singular_values: np.ndarray
@@ -98,10 +98,11 @@ def output_derivative(f, outputs, u, u_dot=None, order: int = 1):
 
 
 def numeric_observability_matrix(f, outputs, x, u, u_dot=None,
-                                 row_spec: Sequence[Tuple[int, int]] = (),
-                                 want_determinant: bool = True) -> ObsMatrixResult:
+                                 row_spec: Sequence[Tuple[int, int]] = ()
+                                 ) -> ObsMatrixResult:
     """
-    Stack Jacobian rows of output Lie derivatives and analyze their rank.
+    Stack Jacobian rows of output Lie derivatives into a square matrix and
+    analyze its determinant and rank.
 
     Parameters
     ----------
@@ -112,31 +113,24 @@ def numeric_observability_matrix(f, outputs, x, u, u_dot=None,
     u_dot : array_like, optional
         Input rate; enters output derivatives of order >= 2.
     row_spec : sequence of (output_index, derivative_order)
-        Which rows to stack, in order.
-    want_determinant : bool
-        If True, require a square selection and report its determinant.
+        Which rows to stack, in order; as many as ``x`` has entries.
 
     Order-0 rows are rows of the identity. Order-2 rows nest two central
     differences, which amplifies roundoff; a wider fourth-order stencil keeps
     the determinant accurate to ~1e-7 relative.
     """
     x = np.asarray(x, float)
-    if not row_spec:
-        raise ValueError("row_spec must select at least one row")
+    if len(row_spec) != x.size:    # an empty selection too
+        raise DimensionMismatchError(
+            f"row selection gives {len(row_spec)}x{x.size}, "
+            "need square for a determinant")
     blocks = {0: np.eye(x.size)[list(outputs)]}
     for order in sorted({o for _, o in row_spec} - {0}):
         g = output_derivative(f, outputs, u, u_dot, order)
         step, stencil = (ROW_STEP, 2) if order == 1 else (ROW_STEP_HIGH, 4)
         blocks[order] = fd_jacobian(g, x, rel_step=step, order=stencil)
     M = np.vstack([blocks[o][i] for i, o in row_spec])
-
-    det = None
-    if want_determinant:
-        if M.shape[0] != M.shape[1]:
-            raise DimensionMismatchError(
-                f"row selection gives {M.shape[0]}x{M.shape[1]}, "
-                "need square for a determinant")
-        det = float(np.linalg.det(M))
+    det = float(np.linalg.det(M))
     # Rows and columns carry wildly different physical units; equilibrate
     # before the SVD so the rank threshold measures direction mixing, not
     # unit choices. Genuinely zero rows/columns are preserved.

@@ -24,7 +24,8 @@ from .ekf import (EkfConfig, SingularInnovationError, bank, check_overflow,
 from .machines import (InductionMachine, SynchronousMachine, im_rates,
                        im_rates_unscaled, park, wrap_angle)
 from .observability import (OBS_THRESHOLD_DEFAULT, im_condition,
-                            im_determinant, sm_channels, slip_frequency)
+                            im_determinant, sm_channels,
+                            sm_observability_vector, slip_frequency)
 from .params import ImParams, WrsmParams, IM_DEFAULT, WRSM_DEFAULT
 from .profiles import PiController, Segment, SignalProfile
 from .trace import SimTrace, finite_max, finite_min, rolling_abs_max
@@ -206,12 +207,14 @@ class ScenarioSpec(NamedTuple):
     """What one scenario kind brings to ``run_scenario``."""
 
     machine: str         # meta["machine"], the kind's key in SPECS
+    scenario: type       # the scenario class, built from a config's block
     plant: Callable      # sc -> blocks of trace rows, in a worker process
     columns: tuple       # the names of a plant row's entries
     filters: Callable    # sc -> (the bank, rows -> its inputs, noisy outputs)
     finish: Callable     # (sc, cols, est, innov) -> trace columns, meta
     flag: str            # the channel whose windowed max sets obs_violated
     summary: Callable    # (trace, violated) -> windows, checks: summarize
+    panels: tuple        # plot.gp's panels, (title, trace columns) each
 
 
 def run_scenario(spec: ScenarioSpec, sc) -> SimTrace:
@@ -456,8 +459,6 @@ def _wrsm_plant(sc: WrsmScenario):
     omega_o, omega_o_filt = _angle_rate(dt, sc.omega_o_filter_tau), 0.0
     h2, h6 = 0.5 * dt, dt / 6.0     # RK4 stage and weight factors
 
-    LD, Mf, L_oq = p.L_delta, p.M_f, p.L_delta - p.field_coupling
-
     for c0, t_c, tm_c, t2_c in _chunks(n_steps, dt):
         (w_c, th_c, _), (w_m, th_m, _), (w_2, th_2, _) = (
             [a.tolist() for a in sc.speed_profile.sample(times)]
@@ -485,8 +486,7 @@ def _wrsm_plant(sc: WrsmScenario):
 
             # observability-vector angle tracking at the integration rate,
             # while the vector is not zero
-            psi_od = LD * i_d + Mf * i_f
-            psi_oq = L_oq * i_q
+            psi_od, psi_oq, _, _ = sm_observability_vector(p, i_d, i_q, i_f)
             th_o = math.nan
             if psi_od != 0.0 or psi_oq != 0.0:
                 th_o = math.atan2(psi_oq, psi_od)
@@ -793,7 +793,15 @@ def run_im_scenario(sc: ImScenario) -> SimTrace:
 
 
 SPECS = {spec.machine: spec for spec in (
-    ScenarioSpec("wrsm", _wrsm_plant, _WRSM_PLANT, _wrsm_filters,
-                 _wrsm_finish, "margin", _wrsm_summary),
-    ScenarioSpec("im", _im_plant, _IM_PLANT, _im_filters, _im_finish,
-                 "im_cond", _im_summary))}
+    ScenarioSpec("wrsm", WrsmScenario, _wrsm_plant, _WRSM_PLANT,
+                 _wrsm_filters, _wrsm_finish, "margin", _wrsm_summary, (
+                     ("position estimation error (rad)", ("theta_err",)),
+                     ("observability-vector velocity and margin (rad/s)",
+                      ("omega_o", "margin")),
+                     ("rank-condition determinant", ("det_sm",)))),
+    ScenarioSpec("im", ImScenario, _im_plant, _IM_PLANT, _im_filters,
+                 _im_finish, "im_cond", _im_summary, (
+                     ("flux estimation error (relative)",
+                      ("spd_flux_err", "sl_flux_err")),
+                     ("observability condition (rad/s)", ("im_cond",)),
+                     ("speed (rad/s)", ("omega_e", "sl_omega_e")))))}

@@ -42,6 +42,36 @@ IM_COLUMNS = [
 ]
 
 
+PLOT_HEAD = """\
+# gnuplot script; run next to trace.csv
+set datafile separator ','
+set key autotitle columnhead
+set xlabel 'time (s)'
+set multiplot layout 3,1
+"""
+
+PLOT_GP = {"wrsm": PLOT_HEAD + """\
+set title 'position estimation error (rad)'
+plot 'trace.csv' using 't':'theta_err' with lines title 'theta_err'
+set title 'observability-vector velocity and margin (rad/s)'
+plot 'trace.csv' using 't':'omega_o' with lines title 'omega_o', \
+'trace.csv' using 't':'margin' with lines title 'margin'
+set title 'rank-condition determinant'
+plot 'trace.csv' using 't':'det_sm' with lines title 'det_sm'
+unset multiplot
+""", "im": PLOT_HEAD + """\
+set title 'flux estimation error (relative)'
+plot 'trace.csv' using 't':'spd_flux_err' with lines title 'spd_flux_err', \
+'trace.csv' using 't':'sl_flux_err' with lines title 'sl_flux_err'
+set title 'observability condition (rad/s)'
+plot 'trace.csv' using 't':'im_cond' with lines title 'im_cond'
+set title 'speed (rad/s)'
+plot 'trace.csv' using 't':'omega_e' with lines title 'omega_e', \
+'trace.csv' using 't':'sl_omega_e' with lines title 'sl_omega_e'
+unset multiplot
+"""}
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -115,7 +145,7 @@ def test_simulate_wrsm_outputs(tmp_path, capsys):
     assert rc == 0
     trace = SimTrace.from_csv(tmp_path / "out" / "trace.csv")
     assert trace.column_names == WRSM_COLUMNS
-    assert (tmp_path / "out" / "plot.gp").exists()
+    assert (tmp_path / "out" / "plot.gp").read_text() == PLOT_GP["wrsm"]
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["schema"] == "driveobs-summary/1"
     assert summary["checks"]["converged_after_injection"] is True
@@ -148,6 +178,13 @@ def test_simulate_im_outputs_and_schema(tmp_path):
     # the run ends before its re-convergence window [d1 + 1.0, d1 + 1.5] s
     assert summary["checks"]["sensorless_reconverges"] is None
     check_stage_timings(summary)
+
+
+def test_im_plot_script_text(tmp_path):
+    """The IM plot.gp byte for byte (the WRSM one is pinned through
+    simulate above): three panels from the IM ScenarioSpec."""
+    cli._write_plot_script(tmp_path / "plot.gp", "im")
+    assert (tmp_path / "plot.gp").read_bytes() == PLOT_GP["im"].encode()
 
 
 def test_simulate_decimation(tmp_path):
@@ -542,6 +579,24 @@ def test_sweep_out_under_regular_file_exit_2(tmp_path, capsys):
                "--out", str(blocker / "sub")])
     assert rc == 2
     assert "cannot create output directory" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "trace.csv"), ("simulate", "summary.json"),
+    ("simulate", "plot.gp"), ("sweep", "sweep.csv")])
+def test_unwritable_output_file_exit_2(tmp_path, capsys, command, name):
+    """A directory in an output file's place ends in one line, exit 2."""
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    if command == "simulate":
+        cfg_dict = short_wrsm_cfg()
+        cfg_dict["scenario"]["t_end"] = 0.01
+        cfg = write_cfg(tmp_path, cfg_dict)
+    else:
+        cfg = str(bundled_config_path("sweep_line.json"))
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = assert_one_line_error(capsys)
+    assert err.startswith("driveobs: cannot write output: ") and name in err
 
 
 @pytest.mark.parametrize("kind, sweep", [

@@ -82,18 +82,16 @@ def test_sm_standstill_rank_deficient():
     assert abs(res.determinant) < 1e-12
 
 
-def test_nonsquare_requires_flag():
+def test_nonsquare_selection_raises():
+    """No rows, too few and too many rows for the three states all raise."""
     m = make_machine("pm_dcm")
     x = np.array([1.0, 1.0, 0.0])
     u = np.array([1.0])
-    with pytest.raises(DimensionMismatchError):
-        numeric_observability_matrix(m.f, ARMATURE_CURRENT, x, u,
-                                     row_spec=((0, 0), (0, 1)))
-    res = numeric_observability_matrix(m.f, ARMATURE_CURRENT, x, u,
-                                       row_spec=((0, 0), (0, 1)),
-                                       want_determinant=False)
-    assert res.determinant is None
-    assert res.matrix.shape == (2, 3)
+    for row_spec in ((), ((0, 0), (0, 1)), ((0, 0), (0, 1), (0, 2), (0, 3))):
+        with pytest.raises(DimensionMismatchError, match=f"gives "
+                           f"{len(row_spec)}x3, need square"):
+            numeric_observability_matrix(m.f, ARMATURE_CURRENT, x, u,
+                                         row_spec=row_spec)
 
 
 def test_high_order_with_input_rate_unsupported():
