@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_config, scenario_from_config
+from .config import BLOCKS, ConfigError, load_config, scenario_from_config
 from .ekf import EkfDivergenceError, SingularInnovationError
 from .machines import SingularInductanceError, make_machine
 from .profiles import ProfileDomainError
@@ -63,9 +63,9 @@ def cmd_simulate(args) -> int:
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
-    output = cfg.get("output", {})
-    decimate = args.decimate if args.decimate is not None \
-        else output.get("decimate", 1)
+    output = {**BLOCKS[cfg["machine"]["kind"]]["output"],
+              **cfg.get("output", {})}
+    decimate = output["decimate"] if args.decimate is None else args.decimate
     if decimate < 1:
         _err(f"decimate must be at least 1, got {decimate}")
         return EXIT_CONFIG
@@ -90,7 +90,7 @@ def cmd_simulate(args) -> int:
         trace.to_csv(out_dir / "trace.csv", decimate=decimate)
         trace.meta["timings"]["csv"] = time.perf_counter() - started
         write_summary(out_dir / "summary.json", summarize(trace))
-        if output.get("plot_script", True):
+        if output["plot_script"]:
             _write_plot_script(out_dir / "plot.gp", trace.meta["machine"])
     except OSError as exc:    # a directory in a file's place, a full disk
         _err(f"cannot write output: {exc}")
@@ -126,25 +126,22 @@ def _check_point(cfg: dict, threshold):
     kind = cfg["machine"]["kind"]
     params = params_from_dict(kind, cfg["machine"].get("params", {}))
     machine = make_machine(kind, params)
-    block = cfg.get("check", {})
-    if threshold is None:
-        threshold = block.get("threshold", OBS_THRESHOLD_DEFAULT)
-    u_dot = None
-    speed_measured = False
+    block = {**BLOCKS[kind]["check"], **cfg["check"]}
+    threshold = block["threshold"] if threshold is None else threshold
+    u_dot, speed_measured = None, False
     if kind in SM_KINDS:
+        # without a field winding there is no i_f or di_f (None)
         x, u = sm_operating_point(
-            params, omega=block.get("omega", 0.0),
-            i_sd=block.get("i_d", 0.0), i_sq=block.get("i_q", 0.0),
-            i_f=block.get("i_f", 0.0 if params.has_field else None),
-            di_sd=block.get("di_d", 0.0), di_sq=block.get("di_q", 0.0),
-            di_f=block.get("di_f", 0.0))
+            params, omega=block["omega"], i_sd=block["i_d"],
+            i_sq=block["i_q"], i_f=block.get("i_f"), di_sd=block["di_d"],
+            di_sq=block["di_q"], di_f=block.get("di_f"))
     elif kind == "im":
-        speed_measured = block.get("mode", "sensorless") == "with_speed"
+        speed_measured = block["mode"] == "with_speed"
         x, u, u_dot = im_steady_operating_point(
-            params, omega_e=block.get("omega_e", 0.0),
-            T_m=block.get("T_m", 0.0), psi_rd=block.get("psi_rd", 0.05))
+            params, omega_e=block["omega_e"], T_m=block["T_m"],
+            psi_rd=block["psi_rd"])
     else:
-        x = np.array([block.get("i_a", 0.0), 0.0, 0.0])
+        x = np.array([block["i_a"], 0.0, 0.0])
         u = np.zeros(1)
     report = observability_report(machine, x, u, u_dot,
                                   speed_measured=speed_measured,
@@ -175,25 +172,22 @@ def cmd_check(args) -> int:
 
 def _sweep_cells(cfg: dict):
     """Header and rows of the sweep CSV: one row per cell of the grid of the
-    two axes ``x``, ``y``, the second axis varying slowest."""
+    two axes ``x``, ``y`` (the block's objects, in the table's order), the
+    second axis varying slowest."""
     kind = cfg["machine"]["kind"]
     params = params_from_dict(kind, cfg["machine"].get("params", {}))
-    block = cfg["sweep"]
-    x, y = np.meshgrid(*(np.linspace(block[a]["min"], block[a]["max"],
-                                     block[a]["n"])
-                         for a in (("omega_e", "T_m") if kind == "im"
-                                   else ("i_d", "i_q"))))
+    block = {**BLOCKS[kind]["sweep"], **cfg["sweep"]}
+    x, y = np.meshgrid(*(np.linspace(a["min"], a["max"], a["n"])
+                         for a in block.values() if isinstance(a, dict)))
     if kind == "im":
-        psi_rd = block.get("psi_rd", 0.05)
+        psi_rd = block["psi_rd"]
         det = im_steady_determinant(params, x, y, psi_rd)
         omega_s = x + slip_frequency(params, y, psi_rd)
         cells = (x, y, det, im_condition(params, x, 0.0, omega_s))
         header = "omega_e,T_m,determinant,condition"
     else:
-        omega = block.get("omega", 0.0)
-        i_f = block.get("i_f", 0.0) if params.has_field else None
-        det = sm_determinant(params, omega, x, y, i_f)
-        cells = (x, y, det, np.full_like(det, omega))
+        det = sm_determinant(params, block["omega"], x, y, block.get("i_f"))
+        cells = (x, y, det, np.full_like(det, block["omega"]))
         header = "i_d,i_q,determinant,omega"
     return header, np.column_stack([c.ravel() for c in cells])
 
@@ -203,11 +197,12 @@ def cmd_sweep(args) -> int:
         cfg = load_config(args.config)
         if "sweep" not in cfg:
             raise ConfigError("config has no sweep block")
-        header, rows = _sweep_cells(cfg)
+        with np.errstate(over="raise"):    # not inf cells
+            header, rows = _sweep_cells(cfg)
     except (ConfigError, DegenerateFluxError) as exc:
         _err(str(exc))
         return EXIT_CONFIG
-    except ArithmeticError as exc:    # overflow at extreme parameters
+    except (ArithmeticError, MemoryError) as exc:    # overflow, a vast grid
         _err(f"numerical failure on this grid: {exc}")
         return EXIT_CONFIG
     out_dir = Path(args.out)

@@ -11,6 +11,7 @@ import json
 import sys
 from importlib import resources
 
+from .observability import OBS_THRESHOLD_DEFAULT
 from .params import (DEFAULT_PARAMS, MACHINE_KINDS, SM_KINDS,
                      params_from_dict, params_to_dict)
 from .profiles import Segment, SignalProfile
@@ -150,21 +151,11 @@ def validate_config(cfg: dict):
         params_from_dict(kind, params)
     except (ValueError, ArithmeticError) as exc:   # overflow at extremes
         raise ConfigError(f"machine.params: {exc}") from exc
-    if "output" in cfg:
-        _require_keys(cfg["output"], ("decimate", "plot_script"), "output")
-        decimate = cfg["output"].get("decimate", 1)
-        if not isinstance(decimate, int) or isinstance(decimate, bool) \
-                or decimate < 1:
-            raise ConfigError("output.decimate must be at least 1 and an "
-                              f"integer, got {decimate!r}")
-        if not isinstance(cfg["output"].get("plot_script", True), bool):
-            raise ConfigError("output.plot_script must be true or false, "
-                              f"got {cfg['output']['plot_script']!r}")
-    for block, validator in (("scenario", _validate_scenario),
-                             ("check", _validate_check),
-                             ("sweep", _validate_sweep)):
-        if block in cfg:
-            validator(cfg, cfg[block])
+    for name in ("output", "scenario", "check", "sweep"):
+        if name == "scenario" and name in cfg:
+            _validate_scenario(cfg, cfg[name])
+        elif name in cfg:
+            _validate_block(cfg, name)
 
 
 def _scenario_keys(cls) -> tuple:
@@ -195,39 +186,52 @@ def _validate_scenario(cfg, block):
     _require_numbers(block, _SCENARIO_DEFAULTS, "scenario")
 
 
-def _validate_check(cfg, block):
-    kind = cfg["machine"]["kind"]
+def _blocks(kind: str) -> dict:
+    """A kind's ``check``, ``sweep`` and ``output`` keys and their defaults;
+    ``cli`` reads {**table, **block}. A sweep axis ({min, max, n}) has none
+    (None), the two first, x then y. DC machines have no sweep (None)."""
     if kind in SM_KINDS:
-        allowed = ("omega", "i_d", "i_q", "di_d", "di_q", "threshold") + (
-            ("i_f", "di_f") if DEFAULT_PARAMS[kind].has_field else ())
+        field = ("i_f", "di_f") if DEFAULT_PARAMS[kind].has_field else ()
+        check = dict.fromkeys(("omega", "i_d", "i_q", "di_d", "di_q")
+                              + field, 0.0)
+        sweep = ("i_d", "i_q", "omega") + field[:1]
     elif kind == "im":
-        allowed = ("mode", "omega_e", "T_m", "psi_rd", "threshold")
+        check = {"mode": "sensorless", "omega_e": 0.0, "T_m": 0.0,
+                 "psi_rd": 0.05}
+        sweep = ("omega_e", "T_m", "psi_rd")
     else:
-        allowed = ("i_a", "threshold")
-    _require_keys(block, allowed, "check")
-    if kind == "im" and block.get("mode", "sensorless") not in (
-            "sensorless", "with_speed"):
+        check, sweep = {"i_a": 0.0}, None
+    return {"check": {**check, "threshold": OBS_THRESHOLD_DEFAULT},
+            "sweep": sweep and {key: None if i < 2 else check[key]
+                                for i, key in enumerate(sweep)},
+            "output": {"decimate": 1, "plot_script": True}}
+
+
+BLOCKS = {kind: _blocks(kind) for kind in MACHINE_KINDS}
+
+
+def _validate_block(cfg, name):
+    """A ``check``, ``sweep`` or ``output`` block: the table gives the keys,
+    the axes and the keys that take finite numbers, then each key's rule."""
+    table, block = BLOCKS[cfg["machine"]["kind"]][name], cfg[name]
+    if table is None:
+        raise ConfigError("sweep supports SM and IM machines only")
+    axes = [key for key, default in table.items() if default is None]
+    _require_keys(block, table, name, required=axes)
+    if "mode" in block and block["mode"] not in ("sensorless", "with_speed"):
         raise ConfigError("check.mode must be 'sensorless' or 'with_speed'")
-    _require_finite(block, sorted(set(block) - {"mode"}), "check")
+    _require_finite(block, sorted(key for key in block
+                                  if type(table[key]) is float), name)
     if "threshold" in block and block["threshold"] <= 0:
         raise ConfigError("check.threshold must be above 0, got "
                           f"{block['threshold']!r}")
-
-
-def _validate_sweep(cfg, block):
-    kind = cfg["machine"]["kind"]
-    if kind == "im":
-        _require_keys(block, ("omega_e", "T_m", "psi_rd"), "sweep",
-                      required=("omega_e", "T_m"))
-        axes = ("omega_e", "T_m")
-    elif kind in SM_KINDS:
-        _require_keys(block, ("i_d", "i_q", "omega") + (
-            ("i_f",) if DEFAULT_PARAMS[kind].has_field else ()), "sweep",
-            required=("i_d", "i_q"))
-        axes = ("i_d", "i_q")
-    else:
-        raise ConfigError("sweep supports SM and IM machines only")
-    _require_finite(block, sorted(set(block) - set(axes)), "sweep")
+    if "decimate" in block and (type(block["decimate"]) is not int
+                                or block["decimate"] < 1):
+        raise ConfigError("output.decimate must be at least 1 and an "
+                          f"integer, got {block['decimate']!r}")
+    if "plot_script" in block and type(block["plot_script"]) is not bool:
+        raise ConfigError("output.plot_script must be true or false, "
+                          f"got {block['plot_script']!r}")
     for axis in axes:
         spec = block[axis]
         _require_keys(spec, ("min", "max", "n"), f"sweep.{axis}",

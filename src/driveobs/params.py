@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 
 BRUSHLESS_KINDS = ("ipmsm", "spmsm", "syrm", "hesm")
@@ -62,20 +63,20 @@ class WrsmParams:
             raise ValueError("inductance matrix not positive definite "
                              "(L_d <= M_f**2/L_f)")
 
-    @property
+    @cached_property
     def L_d(self) -> float:
         return self.L_0 + self.L_2
 
-    @property
+    @cached_property
     def L_q(self) -> float:
         return self.L_0 - self.L_2
 
-    @property
+    @cached_property
     def L_delta(self) -> float:
         """Saliency difference L_d - L_q = 2*L_2."""
         return self.L_d - self.L_q
 
-    @property
+    @cached_property
     def field_coupling(self) -> float:
         """Inductance M_f^2/L_f that the field winding takes off the d axis
         (H)."""
@@ -141,19 +142,19 @@ class BrushlessSmParams:
         """Whether the rotor carries a field winding (HESM only)."""
         return self.kind == "hesm"
 
-    @property
+    @cached_property
     def L_0(self) -> float:
         return 0.5 * (self.L_d + self.L_q)
 
-    @property
+    @cached_property
     def L_2(self) -> float:
         return 0.5 * (self.L_d - self.L_q)
 
-    @property
+    @cached_property
     def L_delta(self) -> float:
         return self.L_d - self.L_q
 
-    @property
+    @cached_property
     def field_coupling(self) -> float:
         """Inductance M_f^2/L_f that the field winding takes off the d axis
         (H); 0 without a field winding."""

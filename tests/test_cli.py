@@ -11,7 +11,7 @@ import pytest
 
 from driveobs import cli
 from driveobs.cli import main
-from driveobs.config import CONFIG_SCHEMA, bundled_config_path
+from driveobs.config import BLOCKS, CONFIG_SCHEMA, bundled_config_path
 from driveobs.lie import SV_RANK_RTOL, machine_observability_matrix
 from driveobs.machines import make_machine
 from driveobs.observability import observability_report
@@ -622,6 +622,42 @@ def test_sweep_rejects_malformed_values(tmp_path, capsys, kind, sweep):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("kind, sweep", [
+    ("syrm", {"i_d": {"min": -1e200, "max": 1e200, "n": 3},
+              "i_q": {"min": -1e200, "max": 1e200, "n": 3}, "omega": 1e300}),
+    # psi_rd squared is subnormal, so the slip frequency overflows
+    ("im", {"omega_e": {"min": -100.0, "max": 100.0, "n": 3},
+            "T_m": {"min": -20.0, "max": 20.0, "n": 3}, "psi_rd": 1e-160}),
+])
+def test_sweep_overflow_exits_2(tmp_path, kind, sweep):
+    """A grid whose arithmetic overflows ends in one line and exit 2, not in
+    RuntimeWarnings and inf cells. A fresh interpreter keeps the command's
+    own warning filters."""
+    cfg = {"schema": CONFIG_SCHEMA, "machine": {"kind": kind}, "sweep": sweep}
+    proc = subprocess.run([sys.executable, "-m", "driveobs.cli", "sweep",
+                           "--config", write_cfg(tmp_path, cfg),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "driveobs: numerical failure on this grid: overflow encountered in "
+        + ("square" if kind == "syrm" else "divide")]
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_sweep_unallocatable_grid_exit_2(tmp_path, capsys):
+    # 1e7 by 1e7 cells exceed the address space, so the grid's allocation
+    # fails at once; the two axes take about 160 MB
+    axis = {"min": -1.0, "max": 1.0, "n": 10**7}
+    cfg = {"schema": CONFIG_SCHEMA, "machine": {"kind": "im"},
+           "sweep": {"omega_e": axis, "T_m": axis}}
+    rc = main(["sweep", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "Unable to allocate" in assert_one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 WRONGLY_TYPED = [
     ("check", "spmsm", "params", "R_s", "0.1"),
     ("check", "spmsm", "params", "R_s", True),
@@ -916,6 +952,65 @@ def test_field_keys_only_on_field_machines(tmp_path, capsys, kind):
             assert f"unknown keys in {command}: {keys}" in \
                 assert_one_line_error(capsys)
     assert (tmp_path / kind / "sweep.csv").exists() == field
+
+
+# a point where every check key moves the report: i_q != 0 puts di_d into
+# the transient term, i_f != 0 di_f, and a margin of tens of rad/s flips the
+# verdict at a threshold of 1e6
+KEYS_BASE = {"omega": 50.0, "i_d": 1.5, "i_q": 2.5, "i_f": 4.0,
+             "omega_e": 30.0, "T_m": 5.0, "i_a": 1.0}
+
+
+def moved(key, value):
+    """A value of a check or sweep key other than ``value``."""
+    return {"mode": "with_speed", "threshold": 1e6}.get(key) or value + 1.0
+
+
+@pytest.mark.parametrize("kind", MACHINE_KINDS)
+def test_no_check_key_is_accepted_and_ignored(tmp_path, capsys, kind):
+    """Each key of a kind's check table, moved off its base value, changes
+    the check JSON. Two keys are left out: the DC machines' verdict is a
+    nonzero determinant, which takes no threshold, and the pm_dcm is linear,
+    so i_a moves at most the rounding of its oracle."""
+    table = BLOCKS[kind]["check"]
+    base = {key: KEYS_BASE[key] for key in table if key in KEYS_BASE}
+    skipped = ("threshold", "i_a") if kind == "pm_dcm" \
+        else ("threshold",) if kind == "series_dcm" else ()
+
+    def report(block):
+        cfg = {"schema": CONFIG_SCHEMA, "machine": {"kind": kind},
+               "check": block}
+        assert main(["check", "--config", write_cfg(tmp_path, cfg)]) in (0, 4)
+        return capsys.readouterr().out
+
+    reference = report(base)
+    for key in [key for key in table if key not in skipped]:
+        value = moved(key, base.get(key, table[key]))
+        assert report({**base, key: value}) != reference, key
+
+
+@pytest.mark.parametrize("kind", [kind for kind in MACHINE_KINDS
+                                  if BLOCKS[kind]["sweep"] is not None])
+def test_no_sweep_key_is_accepted_and_ignored(tmp_path, kind):
+    """Each scalar key of a kind's sweep table, moved off its base value,
+    changes ``sweep.csv``."""
+    table = BLOCKS[kind]["sweep"]
+    base = {key: {"min": 1.0, "max": 3.0, "n": 3} if default is None
+            else KEYS_BASE.get(key, default) for key, default in table.items()}
+
+    def cells(block, name):
+        cfg = {"schema": CONFIG_SCHEMA, "machine": {"kind": kind},
+               "sweep": block}
+        assert main(["sweep", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "sweep.csv").read_text()
+
+    reference = cells(base, "reference")
+    scalars = [key for key, default in table.items() if default is not None]
+    assert scalars
+    for key in scalars:
+        assert cells({**base, key: moved(key, base[key])}, key) \
+            != reference, key
 
 
 @pytest.mark.parametrize("kind", MACHINE_KINDS)

@@ -1,13 +1,17 @@
 """Config schema: strict validation and scenario construction."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from driveobs.config import (CONFIG_SCHEMA, ConfigError, bundled_config_path,
-                             load_config, scenario_from_config,
-                             validate_config)
+from driveobs.config import (BLOCKS, CONFIG_SCHEMA, ConfigError,
+                             bundled_config_path, load_config,
+                             scenario_from_config, validate_config)
 from driveobs.scenarios import ImScenario, WrsmScenario
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 BUNDLED = ("wrsm_standstill.json", "im_zero_freq.json", "dcm_sanity.json",
            "sweep_line.json")
@@ -158,3 +162,28 @@ def test_load_config_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+
+
+def readme_schema() -> dict:
+    """The example config of README's "Configuration schema" section, read
+    as JSON once its ``//`` and ``/* */`` comments are removed."""
+    section = README.read_text(encoding="utf-8").split(
+        "## Configuration schema", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return json.loads(re.sub(r"//[^\n]*|/\*.*?\*/", "", block, flags=re.S))
+
+
+def test_readme_schema_shows_every_block_key_with_its_default():
+    doc = readme_schema()
+    assert doc["schema"] == CONFIG_SCHEMA
+    for kind, blocks in BLOCKS.items():
+        for name, table in blocks.items():
+            for key, default in (table or {}).items():
+                shown = doc[name].get(key, KeyError)
+                where = f"{kind} {name}.{key}"
+                if default is None:    # a sweep axis
+                    assert isinstance(shown, dict) \
+                        and set(shown) == {"min", "max", "n"}, where
+                else:
+                    assert shown == default \
+                        and type(shown) is type(default), where
