@@ -122,12 +122,17 @@ def _write_plot_script(path, machine_kind: str):
 
 def _check_point(cfg: dict, threshold):
     """The machine kind and report at the config's check point; a threshold
-    of None takes the config's, then the default."""
+    of None takes the config's, then the default. A DC machine takes none:
+    its determinant decides."""
     kind = cfg["machine"]["kind"]
+    block = {**BLOCKS[kind]["check"], **cfg["check"]}
+    if threshold is None:
+        threshold = block.get("threshold")
+    elif "threshold" not in block:
+        raise ConfigError(f"--threshold does not apply to {kind}: a DC "
+                          "machine is decided by its nonzero determinant")
     params = params_from_dict(kind, cfg["machine"].get("params", {}))
     machine = make_machine(kind, params)
-    block = {**BLOCKS[kind]["check"], **cfg["check"]}
-    threshold = block["threshold"] if threshold is None else threshold
     u_dot, speed_measured = None, False
     if kind in SM_KINDS:
         # without a field winding there is no i_f or di_f (None)

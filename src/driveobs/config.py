@@ -189,7 +189,10 @@ def _validate_scenario(cfg, block):
 def _blocks(kind: str) -> dict:
     """A kind's ``check``, ``sweep`` and ``output`` keys and their defaults;
     ``cli`` reads {**table, **block}. A sweep axis ({min, max, n}) has none
-    (None), the two first, x then y. DC machines have no sweep (None)."""
+    (None), the two first, x then y. DC machines have no sweep (None) and
+    no threshold: a nonzero determinant decides them, not a margin in
+    rad/s."""
+    output = {"decimate": 1, "plot_script": True}
     if kind in SM_KINDS:
         field = ("i_f", "di_f") if DEFAULT_PARAMS[kind].has_field else ()
         check = dict.fromkeys(("omega", "i_d", "i_q", "di_d", "di_q")
@@ -200,11 +203,11 @@ def _blocks(kind: str) -> dict:
                  "psi_rd": 0.05}
         sweep = ("omega_e", "T_m", "psi_rd")
     else:
-        check, sweep = {"i_a": 0.0}, None
+        return {"check": {"i_a": 0.0}, "sweep": None, "output": output}
     return {"check": {**check, "threshold": OBS_THRESHOLD_DEFAULT},
-            "sweep": sweep and {key: None if i < 2 else check[key]
-                                for i, key in enumerate(sweep)},
-            "output": {"decimate": 1, "plot_script": True}}
+            "sweep": {key: None if i < 2 else check[key]
+                      for i, key in enumerate(sweep)},
+            "output": output}
 
 
 BLOCKS = {kind: _blocks(kind) for kind in MACHINE_KINDS}

@@ -106,27 +106,68 @@ def make_ekf(machine, config: EkfConfig,
                        config=config, machine=machine, outputs=outputs)
 
 
-def linearize(f, x, u):
+def linearize(machine, x, u):
     """
-    Rate ``f(x, u)`` and its state Jacobian by central differences, for one
-    state ``(n,)`` or a bank ``(B, n)`` sharing ``u``, from one call of ``f``
-    on the columns ``x + h·[0, I, −I]``, ``h_i = REL_STEP * max(1, |x_i|)``;
-    both are views into that call's result.
+    Rate ``machine.f(x, u)`` and its state Jacobian, for one state ``(n,)``
+    or a bank ``(B, n)`` sharing ``u``: ``J₀ + x @ T`` of
+    ``jacobian_tensor`` and ``f`` on each state for a machine that declares
+    ``quadratic``, else ``central_differences``.
     """
-    X = x.reshape(-1, x.shape[-1])
+    n = x.shape[-1]
+    X = x.reshape(-1, n)
+    if getattr(machine, "quadratic", False):
+        J0, T = jacobian_tensor(type(machine), machine.params)
+        rate = np.array([machine.f(row, u) for row in X])
+        A = (J0 + X @ T).reshape(-1, n, n)
+    else:
+        rate, A = central_differences(machine.f, X, u)
+    return (rate, A) if x.ndim == 2 else (rate[0], A[0])
+
+
+def central_differences(f, X, u):
+    """
+    Rates ``f(X, u)`` of a bank ``(B, n)`` and their state Jacobians by
+    central differences, from one call of ``f`` on the columns
+    ``x + h·[0, I, −I]``, ``h_i = REL_STEP * max(1, |x_i|)``; both are
+    views into that call's result.
+    """
     B, n = X.shape
     h = REL_STEP * np.maximum(1.0, np.abs(X))
     cols = X.T[:, :, None] + h.T[:, :, None] * _eye_and_stencil(n)[1]
     F = f(cols.reshape(n, -1), u).reshape(n, B, -1)
-    rate = F[:, :, 0].T
-    A = ((F[:, :, 1:n + 1] - F[:, :, n + 1:]) / (2.0 * h)).swapaxes(0, 1)
-    return (rate, A) if x.ndim == 2 else (rate[0], A[0])
+    A = (F[:, :, 1:n + 1] - F[:, :, n + 1:]) / (2.0 * h)
+    return F[:, :, 0].T, A.swapaxes(0, 1)
+
+
+@lru_cache(maxsize=8)
+def jacobian_tensor(machine_type, params):
+    """
+    ``J₀`` ``(n·n,)`` and ``T`` ``(n, n·n)`` of a machine whose kernel is at
+    most quadratic in the state and affine in ``u``, so that its state
+    Jacobian is ``J₀ + x @ T`` at any ``u``: its central differences at 0
+    and at the unit vectors, exact for such a kernel up to rounding. A
+    check at one other state and input raises ``ValueError`` on a wrong
+    declaration. Read-only, as every step shares them.
+    """
+    machine = machine_type(params)
+    n = machine.n_states
+    _, J = central_differences(machine.f, np.vstack([np.zeros(n), np.eye(n)]),
+                               np.zeros(machine.n_inputs))
+    J0, T = J[0].ravel(), (J[1:] - J[0]).reshape(n, n * n)
+    x = np.arange(1.0, n + 1.0)
+    _, J = central_differences(machine.f, x[None],
+                               np.arange(1.0, machine.n_inputs + 1.0))
+    if not np.abs(J0 + x @ T - J.ravel()).max() <= 1e-6 * np.abs(J).max():
+        raise ValueError(f"{machine.kind} declares a quadratic kernel, but "
+                         "its Jacobian is not affine in the state")
+    J0.flags.writeable = T.flags.writeable = False
+    return J0, T
 
 
 @lru_cache(maxsize=None)
 def _eye_and_stencil(n: int):
-    """``I`` and ``linearize``'s ``[0, I, −I]`` for the state size ``n``;
-    read-only, as every step shares them."""
+    """``I`` and ``central_differences``'s ``[0, I, −I]`` for the state size
+    ``n``; read-only, as every step shares them."""
     eye = np.eye(n)
     D = np.hstack([np.zeros((n, 1)), eye, -eye])[:, None]
     eye.flags.writeable = D.flags.writeable = False
@@ -164,11 +205,11 @@ def symmetrized(P):
     return 0.5 * (P + P.swapaxes(1, 2))
 
 
-def predict(f, X, P, u, Ts: float, Q):
+def predict(machine, X, P, u, Ts: float, Q):
     """Propagate a bank ``X`` (B, n), ``P`` (B, n, n) one sample ``Ts``
-    ahead under the rate ``f`` and the shared input ``u``; the returned
+    ahead under the machine's rate and the shared input ``u``; the returned
     covariance is exactly symmetric."""
-    rate, A = linearize(f, X, u)
+    rate, A = linearize(machine, X, u)
     F = _eye_and_stencil(X.shape[1])[0] + Ts * A
     return X + Ts * rate, symmetrized(F @ P @ F.swapaxes(1, 2) + Q)
 
@@ -198,7 +239,7 @@ def update(X, P, Y, C, R):
 def ekf_predict(inst: EkfInstance, u) -> EkfInstance:
     """Propagate estimate and covariance one sample ahead."""
     cfg = inst.config
-    X, P = predict(inst.machine.f, inst.x[None], inst.P[None], u, cfg.Ts,
+    X, P = predict(inst.machine, inst.x[None], inst.P[None], u, cfg.Ts,
                    cfg.Q)
     check_overflow(X, P, cfg.overflow)
     return replace(inst, x=X[0], P=P[0])

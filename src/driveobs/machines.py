@@ -256,6 +256,9 @@ class InductionMachine:
 
     n_states = 6
     n_inputs = 2
+    # the kernel is bilinear in the state (we·pb, we·pa, ib·pa, ia·pb) and
+    # affine in u, so the filter's Jacobian comes from ekf.jacobian_tensor
+    quadratic = True
 
     def __init__(self, params: ImParams):
         self.params = params

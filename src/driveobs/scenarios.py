@@ -345,7 +345,7 @@ def _run_filter(insts, n: int, blocks):
     symmetrized one are sampled every 100 steps; the start values are
     checked before the first predict.
     """
-    f, cfg = insts[0].machine.f, insts[0].config
+    machine, cfg = insts[0].machine, insts[0].config
     Ts, bound = cfg.Ts, cfg.overflow
     X, P, Q, C, R = bank(insts)
     check_overflow(X, P, bound)    # a start past the bound overflows f
@@ -361,7 +361,7 @@ def _run_filter(insts, n: int, blocks):
             Y[:, b, :y.shape[1]] = y
         for u, y in zip(U.tolist(), Y):
             if k:
-                X, P = predict(f, X, P, u_prev, Ts, Q)
+                X, P = predict(machine, X, P, u_prev, Ts, Q)
                 try:
                     X, P_joseph, innov[k] = update(X, P, y, C, R)
                 except SingularInnovationError:

@@ -912,6 +912,22 @@ def test_check_threshold_option_wins_over_the_config(tmp_path, capsys, option,
     assert out["margin"] == 3.0 and out["guaranteed"] == (code == 0)
 
 
+@pytest.mark.parametrize("kind", ["pm_dcm", "series_dcm"])
+@pytest.mark.parametrize("where", ["check", "option"])
+def test_dc_machines_reject_a_threshold(tmp_path, capsys, kind, where):
+    """A nonzero determinant decides a DC machine, not a margin in rad/s,
+    so a threshold in the config or on the command line exits 2."""
+    cfg = {"schema": CONFIG_SCHEMA, "machine": {"kind": kind},
+           "check": {"i_a": 1.0}}
+    argv = ["check"]
+    if where == "check":
+        cfg["check"]["threshold"] = 1e6
+    else:
+        argv += ["--threshold", "1e6"]
+    assert main(argv + ["--config", write_cfg(tmp_path, cfg)]) == 2
+    assert "threshold" in assert_one_line_error(capsys)
+
+
 @pytest.mark.parametrize("kind, value", [
     ("pm_dcm", "bogus"),
     ("spmsm", 5),
@@ -969,13 +985,11 @@ def moved(key, value):
 @pytest.mark.parametrize("kind", MACHINE_KINDS)
 def test_no_check_key_is_accepted_and_ignored(tmp_path, capsys, kind):
     """Each key of a kind's check table, moved off its base value, changes
-    the check JSON. Two keys are left out: the DC machines' verdict is a
-    nonzero determinant, which takes no threshold, and the pm_dcm is linear,
-    so i_a moves at most the rounding of its oracle."""
+    the check JSON. One key is left out: the pm_dcm is linear, so i_a moves
+    at most the rounding of its oracle."""
     table = BLOCKS[kind]["check"]
     base = {key: KEYS_BASE[key] for key in table if key in KEYS_BASE}
-    skipped = ("threshold", "i_a") if kind == "pm_dcm" \
-        else ("threshold",) if kind == "series_dcm" else ()
+    skipped = ("i_a",) if kind == "pm_dcm" else ()
 
     def report(block):
         cfg = {"schema": CONFIG_SCHEMA, "machine": {"kind": kind},

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from driveobs.ekf import (EkfConfig, EkfDivergenceError,
-                          SingularInnovationError, ekf_predict, ekf_update,
-                          linearize, make_ekf, update)
-from driveobs.machines import SynchronousMachine, make_machine
-from driveobs.params import SPMSM_DEFAULT
+                          SingularInnovationError, central_differences,
+                          ekf_predict, ekf_update, linearize, make_ekf,
+                          update)
+from driveobs.machines import (InductionMachine, SynchronousMachine,
+                               make_machine)
+from driveobs.params import IM_DEFAULT, SPMSM_DEFAULT, WRSM_DEFAULT
 from driveobs.rk4 import rk4_step
 
 RNG = np.random.default_rng(31)
@@ -75,6 +77,63 @@ def test_make_ekf_checks_output_dimension():
 
 
 # ---------------------------------------------------------------------------
+# linearization: the IM's Jacobian tensor against central differences
+
+# the scales of perfbench's IM points, and states far beyond them
+IM_SCALES = [np.array([2e-3, 2e-3, 0.05, 0.05, 100.0, 5.0]),
+             np.full(6, 1e3)]
+
+
+def wide_differences(f, x, u):
+    """Central differences with the one step ``max(1, max |x|)`` along every
+    state: exact for a quadratic kernel up to the rounding of ``f``, which
+    the filter's 1e-6 relative step amplifies to about 1e-8 of the largest
+    entry at |x| ~ 1e3."""
+    h = max(1.0, np.abs(x).max())
+    E = h * np.eye(x.size)
+    return (f((x + E).T, u) - f((x - E).T, u)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("scale", IM_SCALES, ids=["points", "large"])
+def test_im_tensor_jacobian_matches_central_differences(scale):
+    m = InductionMachine(IM_DEFAULT)
+    X = RNG.normal(0, 1, (200, 6)) * scale
+    for x, u in zip(X, RNG.normal(0, 1, (200, 2)) * scale[0] * 1e3):
+        _, A = linearize(m, x, u)
+        refs = [wide_differences(m.f, x, u)]
+        if scale[0] < 1.0:    # the filter's stencil, where it is as exact
+            refs.append(central_differences(m.f, x[None], u)[1][0])
+        for ref in refs:
+            assert np.abs(A - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_im_tensor_jacobian_does_not_depend_on_u():
+    m = InductionMachine(IM_DEFAULT)
+    X = RNG.normal(0, 1, (2, 6)) * IM_SCALES[0]
+    _, A = linearize(m, X, np.zeros(2))
+    for u in RNG.normal(0, 100, (10, 2)):
+        assert np.array_equal(linearize(m, X, u)[1], A)
+
+
+def test_im_tensor_path_rate_is_f_bit_for_bit():
+    m = InductionMachine(IM_DEFAULT)
+    for scale in IM_SCALES:
+        X, u = RNG.normal(0, 1, (3, 6)) * scale, RNG.normal(0, 1, 2).tolist()
+        rate, _ = linearize(m, X, u)
+        assert np.array_equal(rate, [m.f(x, u) for x in X])
+        assert np.array_equal(linearize(m, X[0], u)[0], m.f(X[0], u))
+
+
+def test_quadratic_declaration_on_an_sm_fails_the_check():
+    class DeclaredSm(SynchronousMachine):
+        quadratic = True    # wrong: the SM kernel is trigonometric in theta
+
+    m = DeclaredSm(WRSM_DEFAULT)
+    with pytest.raises(ValueError, match="not affine in the state"):
+        linearize(m, np.ones(5), np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
 # prediction
 
 
@@ -107,7 +166,7 @@ def test_predict_matches_discretized_truth_for_linear_model():
     x_true = rk4_step(m.f, x, lambda t: u, 0.0, Ts)
     # explicit first-order prediction is within O(Ts^2) of the true flow;
     # the local error constant is the state acceleration A*f
-    rate, A = linearize(m.f, x, u)
+    rate, A = linearize(m, x, u)
     accel = np.max(np.abs(A @ rate))
     assert np.max(np.abs(out.x - x_true)) < Ts**2 * accel
 

@@ -212,7 +212,7 @@ def test_jacobians_directional_derivative_oracle():
         x = np.array([RNG.normal(0, 10), RNG.normal(0, 10), RNG.normal(0, 5),
                       RNG.normal(0, 100), RNG.uniform(-np.pi, np.pi)])
         u = RNG.normal(0, 20, 3)
-        rate, A = linearize(m.f, x, u)
+        rate, A = linearize(m, x, u)
         assert np.array_equal(rate, m.f(x, u))
         delta = RNG.normal(0, 1, 5) * 1e-4
         lhs = A @ delta
@@ -224,7 +224,7 @@ def test_im_jacobian_rows_match_printed_entries():
     m = InductionMachine(IM_DEFAULT)
     p = IM_DEFAULT
     x = np.array([1e-3, -2e-3, 0.04, -0.01, 80.0, 3.0])
-    _, A = linearize(m.f, x, np.array([0.5, -0.2]))
+    _, A = linearize(m, x, np.array([0.5, -0.2]))
     # current-rate sensitivities to flux and speed
     assert A[0, 2] == pytest.approx(1.0 / p.tau_r, rel=1e-6)
     assert A[0, 3] == pytest.approx(x[4], rel=1e-6)
@@ -244,8 +244,8 @@ def test_im_jacobian_rows_match_printed_entries():
 def test_pm_dcm_jacobian_constant():
     m = make_machine("pm_dcm")
     u = np.array([5.0])
-    _, A1 = linearize(m.f, np.array([1.0, 10.0, 0.2]), u)
-    _, A2 = linearize(m.f, np.array([-3.0, 200.0, 1.5]), u)
+    _, A1 = linearize(m, np.array([1.0, 10.0, 0.2]), u)
+    _, A2 = linearize(m, np.array([-3.0, 200.0, 1.5]), u)
     assert np.allclose(A1, A2, atol=1e-9)
 
 
