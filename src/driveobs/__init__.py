@@ -15,9 +15,9 @@ from .machines import (DcMachine, InductionMachine, SingularInductanceError,
 from .lie import (DimensionMismatchError, ObsMatrixResult,
                   machine_observability_matrix, numeric_observability_matrix)
 from .observability import (DegenerateFluxError, ObservabilityReport,
-                            OBS_THRESHOLD_DEFAULT, dcm_determinant,
-                            flux_angular_velocity, im_condition,
-                            im_determinant, im_steady_determinant,
+                            OBS_THRESHOLD_DEFAULT, closed_forms,
+                            dcm_determinant, flux_angular_velocity,
+                            im_condition, im_determinant,
                             observability_report, slip_frequency,
                             sm_channels, sm_condition_ratio,
                             sm_determinant, sm_observability_vector)

@@ -19,10 +19,8 @@ from .config import BLOCKS, ConfigError, load_config, scenario_from_config
 from .ekf import EkfDivergenceError, SingularInnovationError
 from .machines import SingularInductanceError, make_machine
 from .profiles import ProfileDomainError
-from .observability import (DegenerateFluxError, OBS_THRESHOLD_DEFAULT,
-                            im_condition, im_steady_determinant,
+from .observability import (OBS_THRESHOLD_DEFAULT, closed_forms,
                             im_steady_operating_point, observability_report,
-                            slip_frequency, sm_determinant,
                             sm_operating_point)
 from .params import SM_KINDS, params_from_dict
 from .scenarios import (SPECS, PlantWorkerError, run_im_scenario,
@@ -120,38 +118,58 @@ def _write_plot_script(path, machine_kind: str):
         fh.write("\n".join(lines) + "\n")
 
 
-def _check_point(cfg: dict, threshold):
-    """The machine kind and report at the config's check point; a threshold
-    of None takes the config's, then the default. A DC machine takes none:
+def _evaluate(path, name: str, evaluate, where: str):
+    """``evaluate(machine, block)`` on the config at ``path``: its machine
+    and its ``name`` block, which it must have, with the keys the block
+    does not set at their ``check`` defaults. None after one line on stderr
+    if the config, its parameters or the arithmetic at its points fail."""
+    try:
+        cfg = load_config(path)
+        if name not in cfg:
+            raise ConfigError(f"config has no {name} block")
+        kind = cfg["machine"]["kind"]
+        machine = make_machine(kind, params_from_dict(
+            kind, cfg["machine"].get("params", {})))
+        table = BLOCKS[kind]
+        return evaluate(machine, {**table["check"], **table[name],
+                                  **cfg[name]})
+    except ValueError as exc:   # ConfigError, LinAlgError, ...: ValueErrors
+        _err(str(exc))
+    except (ArithmeticError, MemoryError) as exc:   # overflow, a vast grid
+        _err(f"numerical failure {where}: {exc}")
+    return None
+
+
+def _operating_points(machine, block: dict):
+    """The state, input and input rate (None for a constant input) at the
+    block's point, or (n, N) columns where it holds rows of N points."""
+    if machine.kind in SM_KINDS:
+        # without a field winding there is no i_f or di_f (None)
+        return (*sm_operating_point(
+            machine.params, omega=block["omega"], i_sd=block["i_d"],
+            i_sq=block["i_q"], i_f=block.get("i_f"), di_sd=block["di_d"],
+            di_sq=block["di_q"], di_f=block.get("di_f")), None)
+    if machine.kind == "im":
+        return im_steady_operating_point(
+            machine.params, omega_e=block["omega_e"], T_m=block["T_m"],
+            psi_rd=block["psi_rd"])
+    return np.array([block["i_a"], 0.0, 0.0]), np.zeros(1), None
+
+
+def _check_point(machine, block: dict, threshold) -> dict:
+    """The report at the check point, with the machine kind; a threshold
+    of None takes the block's, then the default. A DC machine takes none:
     its determinant decides."""
-    kind = cfg["machine"]["kind"]
-    block = {**BLOCKS[kind]["check"], **cfg["check"]}
     if threshold is None:
         threshold = block.get("threshold")
     elif "threshold" not in block:
-        raise ConfigError(f"--threshold does not apply to {kind}: a DC "
-                          "machine is decided by its nonzero determinant")
-    params = params_from_dict(kind, cfg["machine"].get("params", {}))
-    machine = make_machine(kind, params)
-    u_dot, speed_measured = None, False
-    if kind in SM_KINDS:
-        # without a field winding there is no i_f or di_f (None)
-        x, u = sm_operating_point(
-            params, omega=block["omega"], i_sd=block["i_d"],
-            i_sq=block["i_q"], i_f=block.get("i_f"), di_sd=block["di_d"],
-            di_sq=block["di_q"], di_f=block.get("di_f"))
-    elif kind == "im":
-        speed_measured = block["mode"] == "with_speed"
-        x, u, u_dot = im_steady_operating_point(
-            params, omega_e=block["omega_e"], T_m=block["T_m"],
-            psi_rd=block["psi_rd"])
-    else:
-        x = np.array([block["i_a"], 0.0, 0.0])
-        u = np.zeros(1)
-    report = observability_report(machine, x, u, u_dot,
-                                  speed_measured=speed_measured,
-                                  threshold=threshold)
-    return kind, report
+        raise ConfigError(f"--threshold does not apply to {machine.kind}: a "
+                          "DC machine is decided by its nonzero determinant")
+    x, u, u_dot = _operating_points(machine, block)
+    report = observability_report(
+        machine, x, u, u_dot, speed_measured=block.get("mode") == "with_speed",
+        threshold=threshold)
+    return {"machine": machine.kind, **dataclasses.asdict(report)}
 
 
 def cmd_check(args) -> int:
@@ -159,57 +177,39 @@ def cmd_check(args) -> int:
             not 0.0 < args.threshold <= sys.float_info.max:   # NaN fails too
         _err(f"--threshold must be finite and above 0, got {args.threshold}")
         return EXIT_CONFIG
-    try:
-        cfg = load_config(args.config)
-        if "check" not in cfg:
-            raise ConfigError("config has no check block")
-        kind, report = _check_point(cfg, args.threshold)
-    except (ConfigError, DegenerateFluxError, ValueError) as exc:
-        _err(str(exc))
+    out = _evaluate(args.config, "check", lambda machine, block: _check_point(
+        machine, block, args.threshold), "at this point")
+    if out is None:
         return EXIT_CONFIG
-    except ArithmeticError as exc:    # overflow at extreme parameters
-        _err(f"numerical failure at this point: {exc}")
-        return EXIT_CONFIG
-    out = json_sanitize({"machine": kind, **dataclasses.asdict(report)})
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return EXIT_OK if report.guaranteed else EXIT_NOT_GUARANTEED
+    print(json.dumps(json_sanitize(out), indent=2, sort_keys=True))
+    return EXIT_OK if out["guaranteed"] else EXIT_NOT_GUARANTEED
 
 
-def _sweep_cells(cfg: dict):
-    """Header and rows of the sweep CSV: one row per cell of the grid of the
-    two axes ``x``, ``y`` (the block's objects, in the table's order), the
-    second axis varying slowest."""
-    kind = cfg["machine"]["kind"]
-    params = params_from_dict(kind, cfg["machine"].get("params", {}))
-    block = {**BLOCKS[kind]["sweep"], **cfg["sweep"]}
-    x, y = np.meshgrid(*(np.linspace(a["min"], a["max"], a["n"])
-                         for a in block.values() if isinstance(a, dict)))
-    if kind == "im":
-        psi_rd = block["psi_rd"]
-        det = im_steady_determinant(params, x, y, psi_rd)
-        omega_s = x + slip_frequency(params, y, psi_rd)
-        cells = (x, y, det, im_condition(params, x, 0.0, omega_s))
-        header = "omega_e,T_m,determinant,condition"
-    else:
-        det = sm_determinant(params, block["omega"], x, y, block.get("i_f"))
-        cells = (x, y, det, np.full_like(det, block["omega"]))
-        header = "i_d,i_q,determinant,omega"
-    return header, np.column_stack([c.ravel() for c in cells])
+def _sweep_cells(machine, block: dict):
+    """Header and rows of the sweep CSV: ``check``'s point at each cell of
+    the grid of the two axes of the kind's sweep table, the second varying
+    slowest, evaluated on columns with numpy's overflow raising."""
+    axes = [key for key, default in BLOCKS[machine.kind]["sweep"].items()
+            if default is None]
+    with np.errstate(over="raise"):    # not inf cells
+        grid = np.meshgrid(*(np.linspace(block[a]["min"], block[a]["max"],
+                                         block[a]["n"]) for a in axes))
+        block.update(zip(axes, (g.ravel() for g in grid)))
+        x, u, _ = _operating_points(machine, block)
+        det, margin = closed_forms(machine, x, machine.f(x, u))[:2]
+    if "omega" in block:    # a synchronous machine's one speed
+        last, column = "omega", np.full_like(det, block["omega"])
+    else:    # the IM's condition: check's margin at a steady point
+        last, column = "condition", margin
+    return ",".join(axes + ["determinant", last]), \
+        np.column_stack([block[axes[0]], block[axes[1]], det, column])
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if "sweep" not in cfg:
-            raise ConfigError("config has no sweep block")
-        with np.errstate(over="raise"):    # not inf cells
-            header, rows = _sweep_cells(cfg)
-    except (ConfigError, DegenerateFluxError) as exc:
-        _err(str(exc))
+    result = _evaluate(args.config, "sweep", _sweep_cells, "on this grid")
+    if result is None:
         return EXIT_CONFIG
-    except (ArithmeticError, MemoryError) as exc:    # overflow, a vast grid
-        _err(f"numerical failure on this grid: {exc}")
-        return EXIT_CONFIG
+    header, rows = result
     out_dir = Path(args.out)
     if not _make_dir(out_dir):
         return EXIT_CONFIG

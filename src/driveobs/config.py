@@ -177,7 +177,7 @@ def _validate_scenario(cfg, block):
                           for key in _scenario_keys(cls)},
                   "scenario", required=("type",))
     stype = block["type"]
-    if stype not in _SCENARIOS:
+    if not isinstance(stype, str) or stype not in _SCENARIOS:
         raise ConfigError(f"unknown scenario type {stype!r}")
     _require_keys(block, _scenario_keys(_SCENARIOS[stype]), "scenario")
     if cfg["machine"]["kind"] != stype:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .lie import machine_observability_matrix
-from .machines import J2, DcMachine, InductionMachine, SynchronousMachine, park
+from .machines import J2, DcMachine, InductionMachine, SynchronousMachine
 from .params import DcmParams, ImParams
 
 #: |margin| (rad/s) below which observability is declared "not guaranteed".
@@ -72,7 +72,7 @@ def sm_determinant(params, omega: float, i_sd: float, i_sq: float,
         params, i_sd, i_sq, i_f, di_sd, di_sq, di_f)
     LD, fc = params.L_delta, params.field_coupling
     L_oq, den = LD - fc, (params.L_d - fc) * params.L_q
-    speed_term = (psi_od**2 + L_oq * LD * i_sq**2) / den
+    speed_term = (psi_od * psi_od + L_oq * LD * (i_sq * i_sq)) / den
     transient_term = L_oq / den * (dpsi_od * i_sq - psi_od * di_sq)
     return speed_term * omega + transient_term
 
@@ -88,8 +88,8 @@ def sm_condition_ratio(params, i_sd, i_sq, i_f=None) -> float:
     psi_od = sm_observability_vector(params, i_sd, i_sq, i_f)[0]
     LD = params.L_delta
     L_oq = LD - params.field_coupling
-    num = psi_od**2 + L_oq * L_oq * i_sq**2
-    den = psi_od**2 + L_oq * LD * i_sq**2
+    num = psi_od * psi_od + L_oq * L_oq * (i_sq * i_sq)
+    den = psi_od * psi_od + L_oq * LD * (i_sq * i_sq)
     return num / np.where(den == 0.0, math.nan, den)   # NaN where den == 0
 
 
@@ -135,7 +135,7 @@ def im_determinant(params: ImParams, mode: str, state, state_dot) -> float:
     """
     we = state[4]
     if mode == "with_speed":
-        return -(params.p / params.J) * (we**2 + 1.0 / params.tau_r**2)
+        return -(params.p / params.J) * (we * we + 1.0 / params.tau_r**2)
     if mode != "sensorless":
         raise ValueError("mode must be 'with_speed' or 'sensorless'")
     kr, tr = params.k_r, params.tau_r
@@ -143,12 +143,12 @@ def im_determinant(params: ImParams, mode: str, state, state_dot) -> float:
     dpa, dpb, dwe = state_dot[2] / kr, state_dot[3] / kr, state_dot[4]
     cross = dpa * pb - dpb * pa
     return (params.p / params.J) * (kr**2 / tr**2) * (
-        tr * dwe * (pa * pa + pb * pb) - (1.0 + tr**2 * we**2) * cross)
+        tr * dwe * (pa * pa + pb * pb) - (1.0 + tr**2 * (we * we)) * cross)
 
 
 def flux_angular_velocity(psi, dpsi) -> float:
     """Angular velocity of a rotating two-vector; NaN for a zero vector."""
-    mag2 = psi[0]**2 + psi[1]**2
+    mag2 = psi[0] * psi[0] + psi[1] * psi[1]
     # a zero denominator becomes NaN: no raise on floats, no warning on arrays
     return (psi[0] * dpsi[1] - psi[1] * dpsi[0]) / np.where(
         mag2 == 0.0, math.nan, mag2)
@@ -163,54 +163,49 @@ def im_condition(params: ImParams, omega_e: float, domega_e: float,
     of the slip-angle arctangent, the second the stator flux frequency.
     """
     tr = params.tau_r
-    return tr * domega_e / (1.0 + tr**2 * omega_e**2) + omega_s
+    return tr * domega_e / (1.0 + tr**2 * (omega_e * omega_e)) + omega_s
 
 
 def slip_frequency(params: ImParams, T_m: float, psi_rd: float) -> float:
     """Rotor-current angular frequency for a given torque and direct flux."""
-    psi_sq = psi_rd**2
+    psi_sq = psi_rd * psi_rd
     if np.count_nonzero((psi_rd <= 0.0) | (psi_sq == 0.0)):
         raise DegenerateFluxError("psi_rd must be positive, with a square "
                                   "that does not underflow")
     return (params.R_r / params.p) * T_m / psi_sq
 
 
-def im_steady_determinant(params: ImParams, omega_e: float, T_m: float,
-                          psi_rd: float) -> float:
-    """
-    Sensorless determinant at a synthetic steady operating point.
-
-    The steady flux (k_r psi_rd, 0) rotates at the stator frequency
-    omega_e + slip at constant speed.
-    """
-    omega_s = omega_e + slip_frequency(params, T_m, psi_rd)
-    psi = params.k_r * psi_rd
-    return im_determinant(params, "sensorless",
-                          (0.0, 0.0, psi, 0.0, omega_e, T_m),
-                          (0.0, 0.0, 0.0, omega_s * psi, 0.0, 0.0))
-
-
 def affine_solve(g, target, n: int) -> np.ndarray:
     """
-    The ``v`` of length ``n`` with ``g(v) == target``, for ``g`` affine in v.
+    The ``v`` with ``g(v) == target``, for ``g`` affine in v: one point of
+    length ``n``, or (n, N) columns of N points.
 
-    The matrix of ``g`` comes from ``n + 1`` calls; two Newton steps from 0
-    follow, the second removing the rounding of the first. No step can
-    round onto a zero entry, so an entry below the rounding of the largest
-    is set to zero.
+    Each point's matrix of ``g`` comes from ``n + 1`` calls; two Newton
+    steps from 0 follow, the second removing the rounding of the first. No
+    step can round onto a zero entry, so an entry below the rounding of its
+    point's largest is set to zero.
     """
-    g0 = g(np.zeros(n))
-    G = np.column_stack([g(e) - g0 for e in np.eye(n)])
-    v = np.linalg.solve(G, target - g0)
-    v = v + np.linalg.solve(G, target - g(v))
-    return np.where(np.abs(v) < np.finfo(float).eps * np.max(np.abs(v)),
-                    0.0, v)
+    target = np.asarray(target, float)
+    zero = np.zeros_like(target)
+    g0 = g(zero)
+    units = np.eye(n).reshape((n, n) + (1,) * (target.ndim - 1))
+    # G[..., i, j] = dg_i/dv_j: one (n, n) matrix per point
+    G = np.moveaxis(np.stack([g(zero + e) - g0 for e in units], -1), 0, -2)
+
+    def solve(r):   # each point's column of r as its right-hand side
+        return np.linalg.solve(G, r.T[..., None])[..., 0].T
+
+    v = solve(target - g0)
+    v = v + solve(target - g(v))
+    return np.where(np.abs(v) < np.finfo(float).eps
+                    * np.max(np.abs(v), axis=0), 0.0, v)
 
 
 def im_steady_operating_point(params: ImParams, omega_e: float, T_m: float,
                               psi_rd: float):
     """
-    Consistent steady state (x, u, u_dot) for a rotating-flux operating point.
+    Consistent steady state (x, u, u_dot) for a rotating-flux operating point,
+    or (n, N) columns of them where the arguments are rows of N.
 
     The flux vector has magnitude ``psi_rd`` and rotates at the stator
     frequency implied by the slip relation. The currents, solved from the
@@ -220,15 +215,14 @@ def im_steady_operating_point(params: ImParams, omega_e: float, T_m: float,
     """
     omega_s = omega_e + slip_frequency(params, T_m, psi_rd)
     machine = InductionMachine(params)
-    psi_t = np.array([params.k_r * psi_rd, 0.0])
-    rest = np.array([psi_t[0], psi_t[1], omega_e, T_m])
+    rest = np.array(np.broadcast_arrays(params.k_r * psi_rd, 0.0, omega_e,
+                                        T_m))
     it = affine_solve(
         lambda i: machine.f(np.concatenate([i, rest]), np.zeros(2))[2:4],
-        omega_s * (J2 @ psi_t), 2)
+        omega_s * (J2 @ rest[:2]), 2)
     x = np.concatenate([it, rest])
     u = affine_solve(lambda v: machine.f(x, v)[:2], omega_s * (J2 @ it), 2)
-    u_dot = omega_s * (J2 @ u)
-    return x, u, u_dot
+    return x, u, omega_s * (J2 @ u)
 
 
 def sm_operating_point(params, omega: float, i_sd: float, i_sq: float,
@@ -236,22 +230,26 @@ def sm_operating_point(params, omega: float, i_sd: float, i_sq: float,
                        di_sq: float = 0.0, di_f: float = 0.0,
                        theta: float = 0.0):
     """
-    State and input realizing the requested rotor-frame currents and rates.
+    State and input realizing the requested rotor-frame currents and rates:
+    (n,) arrays, or (n, N) columns where the arguments are rows of N.
 
     Solves the machine's current rates at position ``theta`` for the input,
-    so that the dynamics reproduce exactly the given total dq current
-    derivatives.
+    so that the dynamics reproduce the given total dq rates exactly.
     """
     machine = SynchronousMachine(params)
-    currents = park([i_sd, i_sq], theta, "to_ab")
-    dI = park([di_sd, di_sq], theta, "to_ab") + omega * (J2 @ currents)
-    if machine.has_field:
-        if i_f is None:
-            raise ValueError("field machines need i_f")
-        currents, dI = np.append(currents, i_f), np.append(dI, di_f)
-    x = np.concatenate([currents, [omega, theta]])
-    k = machine.n_currents
-    u = affine_solve(lambda v: machine.f(x, v)[:k], dI, machine.n_inputs)
+    if machine.has_field and i_f is None:
+        raise ValueError("field machines need i_f")
+    field = (i_f, di_f) if machine.has_field else ()
+    omega, theta, i_sd, i_sq, di_sd, di_sq, *field = np.broadcast_arrays(
+        omega, theta, i_sd, i_sq, di_sd, di_sq, *field)
+    c, s = np.cos(theta), np.sin(theta)
+    # the dq vectors in the stationary frame, whose rotation adds omega J2 i
+    currents = np.array([c * i_sd - s * i_sq, s * i_sd + c * i_sq])
+    dI = np.array([c * di_sd - s * di_sq, s * di_sd + c * di_sq]) \
+        + omega * (J2 @ currents)
+    x = np.array([*currents, *field[:1], omega, theta])
+    u = affine_solve(lambda v: machine.f(x, v)[:machine.n_currents],
+                     np.array([*dI, *field[1:]]), machine.n_inputs)
     return x, u
 
 
@@ -264,7 +262,7 @@ def dcm_determinant(params: DcmParams, i_a: float = 0.0) -> float:
     L = params.L_total
     if params.kind == "pm":
         return -params.K**2 / (params.J * L**2)
-    return -params.K**2 / (params.J * L**2) * i_a**2
+    return -params.K**2 / (params.J * L**2) * (i_a * i_a)
 
 
 # ---------------------------------------------------------------------------
@@ -286,53 +284,52 @@ class ObservabilityReport:
     guaranteed: bool = False
 
 
-def observability_report(machine, x, u, u_dot=None,
-                         speed_measured: bool = False,
-                         threshold: float = OBS_THRESHOLD_DEFAULT
-                         ) -> ObservabilityReport:
+def closed_forms(machine, x, xdot, speed_measured: bool = False,
+                 threshold: float = OBS_THRESHOLD_DEFAULT):
     """
-    Evaluate closed form, numeric oracle and condition margin at one point.
-
-    The operating-point derivatives entering the closed forms come from the
-    machine dynamics at (x, u).
+    The closed-form verdict ``(determinant, margin, guaranteed, psi_od,
+    psi_oq)`` at a state ``x`` and its rate ``xdot``: one (n,) point, or
+    (n, N) columns. A value the machine does not define is one NaN: the
+    vector off an SM, the margin of the with-speed IM and of a DC machine.
     """
-    x, u = np.asarray(x, float), np.asarray(u, float)
-    xdot = machine.f(x, u)
-    psi_od = psi_oq = math.nan
-
+    psi_od = psi_oq = margin = math.nan
     if isinstance(machine, SynchronousMachine):
         psi_od, psi_oq, omega_o, ratio, det = sm_channels(machine, x, xdot)
         # the distance to the determinant's zero set omega = ratio * omega_o
         margin = x[machine.n_currents] - ratio * omega_o
-        guaranteed = abs(margin) >= threshold
+        guaranteed = np.abs(margin) >= threshold
     elif isinstance(machine, InductionMachine):
         mode = "with_speed" if speed_measured else "sensorless"
         det = im_determinant(machine.params, mode, x, xdot)
         if speed_measured:
-            margin = math.nan
             guaranteed = True  # determinant is strictly negative for all states
         else:
             kr = machine.params.k_r
             omega_s = flux_angular_velocity(x[2:4] / kr, xdot[2:4] / kr)
             margin = im_condition(machine.params, x[4], xdot[4], omega_s)
-            guaranteed = abs(margin) >= threshold
+            guaranteed = np.abs(margin) >= threshold
     elif isinstance(machine, DcMachine):
         det = dcm_determinant(machine.params, x[0])
-        margin = math.nan
-        guaranteed = abs(det) > 1e-30
+        guaranteed = np.abs(det) > 1e-30
     else:
         raise TypeError(f"unsupported machine {machine!r}")
+    return det, margin, guaranteed, psi_od, psi_oq
 
+
+def observability_report(machine, x, u, u_dot=None,
+                         speed_measured: bool = False,
+                         threshold: float = OBS_THRESHOLD_DEFAULT
+                         ) -> ObservabilityReport:
+    """``closed_forms`` at one point, with the rates the machine dynamics
+    give at (x, u), and the numeric oracle there."""
+    x, u = np.asarray(x, float), np.asarray(u, float)
+    det, margin, guaranteed, psi_od, psi_oq = closed_forms(
+        machine, x, machine.f(x, u), speed_measured, threshold)
     oracle = machine_observability_matrix(machine, x, u, u_dot,
                                           speed_measured=speed_measured)
     return ObservabilityReport(
-        determinant=float(det),
-        oracle_determinant=float(oracle.determinant),
-        margin=float(margin),
-        rank=oracle.rank,
+        determinant=float(det), oracle_determinant=float(oracle.determinant),
+        margin=float(margin), rank=oracle.rank,
         condition_number=oracle.condition_number,
         singular_values=tuple(oracle.singular_values.tolist()),
-        psi_od=psi_od,
-        psi_oq=psi_oq,
-        guaranteed=bool(guaranteed),
-    )
+        psi_od=psi_od, psi_oq=psi_oq, guaranteed=bool(guaranteed))

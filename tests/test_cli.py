@@ -641,7 +641,7 @@ def test_sweep_overflow_exits_2(tmp_path, kind, sweep):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "driveobs: numerical failure on this grid: overflow encountered in "
-        + ("square" if kind == "syrm" else "divide")]
+        + ("multiply" if kind == "syrm" else "divide")]
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
@@ -668,6 +668,7 @@ WRONGLY_TYPED = [
     ("simulate", "wrsm", "scenario", "t_end", False),
     ("simulate", "wrsm", "scenario", "seed", 1.5),
     ("simulate", "wrsm", "scenario", "seed", "7"),
+    ("simulate", "wrsm", "scenario", "type", []),
     ("simulate", "wrsm", "scenario", "seed", -1),
     ("simulate", "wrsm", "scenario", "run_ekf", "false"),
     ("simulate", "wrsm", "scenario", "run_ekf", 0),
@@ -755,6 +756,11 @@ def test_wrongly_typed_values_exit_2(tmp_path, capsys, monkeypatch, command,
     # predict, whose rates would overflow
     ("simulate", "im", {"scenario": {"x0_est_phys": [0, 0, 0, 0, 1e300, 0]}},
      "filter diverged", 3),
+    # sweep builds the machine as check does
+    ("sweep", "syrm", {"params": {"L_d": 1.0, "L_q": 1e-17},
+                       "sweep": {"i_d": {"min": -1.0, "max": 1.0, "n": 3},
+                                 "i_q": {"min": -1.0, "max": 1.0, "n": 3}}},
+     "|det L| below 1e-18", 2),
 ])
 def test_extreme_values_exit_without_traceback(tmp_path, capsys, command,
                                                kind, where, value, code):
@@ -765,7 +771,7 @@ def test_extreme_values_exit_without_traceback(tmp_path, capsys, command,
         target = cfg["machine"] if block == "params" else cfg
         target.setdefault(block, {}).update(entries)
     argv = [command, "--config", write_cfg(tmp_path, cfg)]
-    if command == "simulate":
+    if command != "check":
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == code
     if code == 0:

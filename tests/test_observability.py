@@ -8,9 +8,9 @@ import pytest
 from driveobs.lie import machine_observability_matrix
 from driveobs.machines import (J2, InductionMachine, SynchronousMachine,
                                make_machine, park)
-from driveobs.observability import (DegenerateFluxError, dcm_determinant,
-                                    flux_angular_velocity, im_condition,
-                                    im_determinant, im_steady_determinant,
+from driveobs.observability import (DegenerateFluxError, closed_forms,
+                                    dcm_determinant, flux_angular_velocity,
+                                    im_condition, im_determinant,
                                     im_steady_operating_point,
                                     observability_report, slip_frequency,
                                     sm_channels, sm_condition_ratio,
@@ -38,6 +38,18 @@ def unobservability_line(params, omega_e, T_m, psi_rd):
     stator frequency) for torque ``T_m``, plus the distance to it."""
     on_line = -slip_frequency(params, T_m, psi_rd)
     return on_line, omega_e - on_line
+
+
+def im_steady_determinant(params, omega_e, T_m, psi_rd):
+    """Sensorless determinant at a synthetic steady operating point: the
+    steady flux (k_r psi_rd, 0) rotates at the stator frequency omega_e +
+    slip at constant speed."""
+    omega_s = omega_e + slip_frequency(params, T_m, psi_rd)
+    psi = params.k_r * psi_rd
+    return im_determinant(params, "sensorless",
+                          (0.0, 0.0, psi, 0.0, omega_e, T_m),
+                          (0.0, 0.0, 0.0, omega_s * psi, 0.0, 0.0))
+
 
 SPMSM_SPEC = BrushlessSmParams(kind="spmsm", R_s=0.01, L_d=1e-3, L_q=1e-3,
                                psi_r=0.1, J=1e-2, p=2)
@@ -366,21 +378,33 @@ def test_sm_standstill_determinant_is_exactly_zero(kind):
 # closed forms on arrays
 
 
-def assert_pointwise(on_arrays, at_points):
-    """An array evaluation against the evaluations at each point: NaN at
-    the same elements, the rest equal up to the rounding of a float square
-    (``pow``) against an array square (a product)."""
-    at_points = np.asarray(at_points, float)
-    assert np.shape(on_arrays) == at_points.shape
-    nan = np.isnan(at_points)
-    assert np.array_equal(np.isnan(on_arrays), nan)
-    scale = np.max(np.abs(at_points[~nan]), initial=0.0)
-    assert np.all(np.abs(on_arrays[~nan] - at_points[~nan]) <= 1e-14 * scale)
-
-
 def points(*columns):
     """The columns split into points of Python floats."""
     return list(zip(*(np.asarray(c, float).tolist() for c in columns)))
+
+
+def assert_pointwise(on_columns, at_points):
+    """A column evaluation against the N evaluations at each point, stacked
+    as its last axis: the same shape, dtype and bits, the sign of a zero
+    and NaN included (a square is a product on both, not ``pow`` on a
+    float). One scalar on the columns stands for every point: a value the
+    evaluation does not define there."""
+    at_points = np.stack(at_points, axis=-1)
+    if np.ndim(on_columns):
+        assert np.shape(on_columns) == at_points.shape
+    on_columns = np.broadcast_to(on_columns, at_points.shape)
+    assert on_columns.dtype == at_points.dtype
+    assert on_columns.tobytes() == at_points.tobytes()
+
+
+def assert_verdicts_are_points(machine, X, U, at, **kwargs):
+    """``closed_forms`` on the columns ``X``, ``U`` against its value at
+    each of the points ``at``, a list of ``(x, u)``, field by field."""
+    verdict = closed_forms(machine, X, machine.f(X, U), **kwargs)
+    at_points = [closed_forms(machine, x, machine.f(x, u), **kwargs)
+                 for x, u in at]
+    for k, column in enumerate(verdict):
+        assert_pointwise(column, [v[k] for v in at_points])
 
 
 @pytest.mark.parametrize("params", [WRSM_DEFAULT, HESM_DEFAULT, IPMSM_DEFAULT,
@@ -416,6 +440,20 @@ def test_sm_closed_forms_on_arrays(params):
     assert np.all(np.isnan(ratio[:3]) == zero_vector)
     assert not np.any(np.isnan(ratio[3:]))
 
+    # the operating points and their verdicts on columns, half of them off
+    # theta = 0, are the points' bit for bit
+    machine = SynchronousMachine(params)
+    theta = np.where(np.arange(n) % 2, RNG.uniform(-np.pi, np.pi, n), 0.0)
+    X, U = sm_operating_point(params, w, i_sd, i_sq, i_f, di_sd, di_sq, di_f,
+                              theta)
+    at = [sm_operating_point(params, wk, theta=tk, **pt)
+          for wk, tk, pt in zip(w.tolist(), theta.tolist(), pts)]
+    assert {(x.shape, u.shape) for x, u in at} == {
+        ((machine.n_states,), (machine.n_inputs,))}
+    assert_pointwise(X, [x for x, _ in at])
+    assert_pointwise(U, [u for _, u in at])
+    assert_verdicts_are_points(machine, X, U, at)
+
 
 def test_flux_angular_velocity_on_arrays():
     psi, dpsi = RNG.normal(0, 0.05, (2, 100)), RNG.normal(0, 5, (2, 100))
@@ -442,13 +480,23 @@ def test_im_closed_forms_on_arrays():
     T_m, psi_rd = RNG.normal(0, 10, 200), RNG.uniform(0.01, 0.1, 200)
     assert_pointwise(slip_frequency(p, T_m, psi_rd),
                      [slip_frequency(p, a, b) for a, b in points(T_m, psi_rd)])
-    assert_pointwise(im_steady_determinant(p, X[4], T_m, psi_rd),
-                     [im_steady_determinant(p, a, b, c)
-                      for a, b, c in points(X[4], T_m, psi_rd)])
-    # one flux for the whole grid, as the sweep uses it
-    assert_pointwise(im_steady_determinant(p, X[4], T_m, 0.05),
-                     [im_steady_determinant(p, a, b, 0.05)
-                      for a, b in points(X[4], T_m)])
+
+    # the steady operating points and their verdicts on columns are the
+    # points' bit for bit, with one flux for the whole grid as the sweep
+    # uses it too
+    machine = InductionMachine(p)
+    for flux in (psi_rd, 0.05):
+        columns = im_steady_operating_point(p, X[4], T_m, flux)
+        at = [im_steady_operating_point(p, *pt)
+              for pt in points(*np.broadcast_arrays(X[4], T_m, flux))]
+        assert {tuple(a.shape for a in pt) for pt in at} == {
+            ((6,), (2,), (2,))}
+        for k, column in enumerate(columns):
+            assert_pointwise(column, [pt[k] for pt in at])
+    for speed_measured in (False, True):
+        assert_verdicts_are_points(machine, columns[0], columns[1],
+                                   [pt[:2] for pt in at],
+                                   speed_measured=speed_measured)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.01, 1e-300])
